@@ -34,7 +34,10 @@ namespace np::bench {
 /// "hw_threads" and, on single-hardware-thread hosts, a machine-readable
 /// "hw_warning" block — throughput scaling numbers from a 1-thread box
 /// measure contention, not parallel speedup.
-inline constexpr int kBenchSchemaVersion = 5;
+/// v6: rollout_throughput drops the inference-mode axis: one worker
+/// curve under "workers", with lp_busy_frac (LP seconds per usable
+/// thread-second) in place of lp_share; fast_vs_tape_1worker is gone.
+inline constexpr int kBenchSchemaVersion = 6;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

@@ -2,11 +2,10 @@
 // (rl::RolloutWorkers): env steps per second at 1, 2 and 4 workers,
 // written as JSON for scripts/bench_rollout.sh -> BENCH_rollout.json.
 //
-// The worker curve is measured twice, once per inference mode: "fast"
-// (the tape-free nn::InferenceEngine, the default acting path) and
-// "tape" (the autodiff forwards, NEUROPLAN_INFERENCE=tape). The two
-// curves are bit-identical in actions taken, so the delta is pure
-// forward-pass overhead in the acting hot path.
+// Each row also reports lp_busy_frac: seconds inside lp::solve (summed
+// over workers) divided by the thread-seconds available to run them,
+// wall_seconds x min(workers, hardware_threads). It is the fraction of
+// the usable cores' time spent in LP work, so it stays in [0, 1].
 //
 // The 1-worker row uses borrowed mode (the exact serial trainer path),
 // so speedups are measured against the true pre-threading baseline.
@@ -18,6 +17,7 @@
 // Knobs: NEUROPLAN_TOPOS (first letter, default B),
 //        NEUROPLAN_ROLLOUT_STEPS (steps per measured collect, default 768),
 //        NEUROPLAN_SEED (default 7).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -49,16 +49,16 @@ struct Measurement {
   double steps_per_sec = 0.0;
   double wall_seconds = 0.0;
   long lp_iterations = 0;   ///< simplex iterations in the measured collect
-  double lp_seconds = 0.0;  ///< seconds inside lp::solve (CPU-seconds, K > 1)
+  double lp_seconds = 0.0;  ///< seconds inside lp::solve, summed over workers
+  double lp_busy_frac = 0.0;  ///< lp_seconds / (wall x min(workers, hw threads))
 };
 
 Measurement measure(const topo::Topology& topology, const rl::EnvConfig& env,
                     nn::ActorCritic& net, int workers, unsigned seed,
-                    int steps, nn::InferenceMode mode) {
+                    int steps) {
   // Fresh PlanningEnv per measurement so LP caches start cold for every
   // worker count; one warmup collect builds them before timing.
   auto run = [&](rl::RolloutWorkers& rollout) {
-    rollout.set_inference_mode(mode);
     rollout.collect(steps);  // warmup
     const long warm_iters = rollout.total_lp_iterations();
     const double warm_secs = rollout.total_lp_seconds();
@@ -71,6 +71,8 @@ Measurement measure(const topo::Topology& topology, const rl::EnvConfig& env,
     m.steps_per_sec = collected / m.wall_seconds;
     m.lp_iterations = rollout.total_lp_iterations() - warm_iters;
     m.lp_seconds = rollout.total_lp_seconds() - warm_secs;
+    const int threads = std::min(workers, util::ThreadPool::hardware_threads());
+    m.lp_busy_frac = m.lp_seconds / (m.wall_seconds * threads);
     return m;
   };
   if (workers == 1) {
@@ -99,27 +101,16 @@ int main(int argc, char** argv) {
   nn::ActorCritic net(network_config(env), net_rng);
 
   const std::vector<int> worker_counts = {1, 2, 4};
-  const std::vector<nn::InferenceMode> modes = {nn::InferenceMode::kFast,
-                                                nn::InferenceMode::kTape};
-  // rows[mode][worker_count_index]
-  std::vector<std::vector<Measurement>> rows(modes.size());
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    for (int k : worker_counts) {
-      rows[m].push_back(measure(topology, env, net, k, seed, steps, modes[m]));
-      std::printf("[%s] workers %d: %.1f steps/s (lp share %.0f%%)\n",
-                  nn::to_string(modes[m]), k, rows[m].back().steps_per_sec,
-                  100.0 * rows[m].back().lp_seconds /
-                      rows[m].back().wall_seconds);
-    }
+  std::vector<Measurement> rows;
+  for (int k : worker_counts) {
+    rows.push_back(measure(topology, env, net, k, seed, steps));
+    std::printf("workers %d: %.1f steps/s (lp busy %.0f%%)\n", k,
+                rows.back().steps_per_sec, 100.0 * rows.back().lp_busy_frac);
   }
-  const double speedup =
-      rows[0].back().steps_per_sec / rows[0].front().steps_per_sec;
-  const double fast_vs_tape =
-      rows[0].front().steps_per_sec / rows[1].front().steps_per_sec;
+  const double speedup = rows.back().steps_per_sec / rows.front().steps_per_sec;
   const int hw_threads = util::ThreadPool::hardware_threads();
-  std::printf("speedup 4 vs 1 (fast): %.2fx (on %d hardware threads)\n",
-              speedup, hw_threads);
-  std::printf("fast vs tape at 1 worker: %.2fx\n", fast_vs_tape);
+  std::printf("speedup 4 vs 1: %.2fx (on %d hardware threads)\n", speedup,
+              hw_threads);
   // Worker counts past the core count can't parallelize env stepping,
   // only batch network forwards — flag it so low speedups on small
   // machines aren't misread as regressions.
@@ -138,11 +129,9 @@ int main(int argc, char** argv) {
   }
   long total_lp_iterations = 0;
   double total_lp_seconds = 0.0;
-  for (const auto& mode_rows : rows) {
-    for (const Measurement& m : mode_rows) {
-      total_lp_iterations += m.lp_iterations;
-      total_lp_seconds += m.lp_seconds;
-    }
+  for (const Measurement& m : rows) {
+    total_lp_iterations += m.lp_iterations;
+    total_lp_seconds += m.lp_seconds;
   }
   std::fprintf(out, "{\n");
   bench::print_json_provenance(out);
@@ -152,36 +141,28 @@ int main(int argc, char** argv) {
                "  \"steps_per_collect\": %d,\n"
                "  \"hardware_threads\": %d,\n"
                "  \"warning\": \"%s\",\n"
-               "  \"modes\": [\n",
+               "  \"workers\": [\n",
                preset, steps, hw_threads,
                oversubscribed ? "hardware_threads below max worker count; "
                                 "speedup is thread-starved"
                               : "");
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    std::fprintf(out, "    {\"inference\": \"%s\", \"workers\": [\n",
-                 nn::to_string(modes[m]));
-    for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-      const Measurement& row = rows[m][i];
-      std::fprintf(
-          out,
-          "      {\"workers\": %d, \"steps_per_sec\": %.2f, "
-          "\"lp_iterations\": %ld, \"lp_seconds\": %.4f, "
-          "\"lp_share\": %.3f}%s\n",
-          worker_counts[i], row.steps_per_sec, row.lp_iterations,
-          row.lp_seconds,
-          row.wall_seconds > 0.0 ? row.lp_seconds / row.wall_seconds : 0.0,
-          i + 1 < worker_counts.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", m + 1 < modes.size() ? "," : "");
+  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+    const Measurement& row = rows[i];
+    std::fprintf(out,
+                 "    {\"workers\": %d, \"steps_per_sec\": %.2f, "
+                 "\"lp_iterations\": %ld, \"lp_seconds\": %.4f, "
+                 "\"lp_busy_frac\": %.3f}%s\n",
+                 worker_counts[i], row.steps_per_sec, row.lp_iterations,
+                 row.lp_seconds, row.lp_busy_frac,
+                 i + 1 < worker_counts.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
                "  \"total_lp_iterations\": %ld,\n"
                "  \"lp_seconds\": %.4f,\n"
-               "  \"speedup_4v1\": %.3f,\n"
-               "  \"fast_vs_tape_1worker\": %.3f\n"
+               "  \"speedup_4v1\": %.3f\n"
                "}\n",
-               total_lp_iterations, total_lp_seconds, speedup, fast_vs_tape);
+               total_lp_iterations, total_lp_seconds, speedup);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   obs::shutdown();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the rollout-throughput, LP-engine and inference-engine
 # benches, writing BENCH_rollout.json (steps/sec at 1, 2 and 4 rollout
-# workers, fast vs tape inference, with the LP share of stepping time),
+# workers, with lp_busy_frac: LP seconds per usable thread-second),
 # BENCH_lp.json (dense vs sparse simplex engine, cold vs warm starts)
 # and BENCH_infer.json (tape-free nn::InferenceEngine vs tape forwards,
 # single-graph and ragged batch) at the repo root.
@@ -14,10 +14,6 @@
 #   NEUROPLAN_LP_CHECKS=48       env steps in the LP workload
 #   NEUROPLAN_INFER_ITERS=400    measured forwards per nn_inference row
 #   NEUROPLAN_SEED=7             RNG seed
-#
-# Note: rollout_throughput measures both inference modes itself; the
-# NEUROPLAN_INFERENCE=tape|fast escape hatch only affects training
-# binaries (trainer/rollout default), not this bench's mode axis.
 set -euo pipefail
 
 build_dir="${1:-build}"

@@ -178,57 +178,6 @@ Tensor Tape::mean_rows(Tensor a) {
   });
 }
 
-Tensor Tape::slice_rows(Tensor a, std::size_t begin, std::size_t count) {
-  const la::Matrix& x = value(a);
-  if (count == 0) throw std::invalid_argument("Tape::slice_rows: empty slice");
-  if (begin + count > x.rows()) {
-    throw std::out_of_range("Tape::slice_rows: rows out of range");
-  }
-  la::Matrix out(count, x.cols());
-  std::copy(x.data() + begin * x.cols(), x.data() + (begin + count) * x.cols(),
-            out.data());
-  const bool needs = node(a).needs_grad;
-  const auto ai = a.index;
-  return emit(std::move(out), needs, [ai, begin](Tape& tape, const Node& self) {
-    if (!tape.nodes_[ai].needs_grad) return;
-    la::Matrix& g = tape.grad_ref(ai);
-    double* dst = g.data() + begin * g.cols();
-    const double* src = self.grad.data();
-    for (std::size_t i = 0; i < self.grad.flat().size(); ++i) dst[i] += src[i];
-  });
-}
-
-Tensor Tape::mean_rows_segments(Tensor a, std::size_t segment) {
-  const la::Matrix& x = value(a);
-  if (segment == 0 || x.rows() == 0 || x.rows() % segment != 0) {
-    throw std::invalid_argument("Tape::mean_rows_segments: rows must be a "
-                                "positive multiple of segment");
-  }
-  const std::size_t segments = x.rows() / segment;
-  const double inv = 1.0 / static_cast<double>(segment);
-  la::Matrix out(segments, x.cols(), 0.0);
-  for (std::size_t s = 0; s < segments; ++s) {
-    double* orow = out.data() + s * x.cols();
-    // Sum ascending then scale — matches mean_rows (sum_rows * 1/n) bitwise.
-    for (std::size_t r = s * segment; r < (s + 1) * segment; ++r) {
-      const double* xrow = x.data() + r * x.cols();
-      for (std::size_t c = 0; c < x.cols(); ++c) orow[c] += xrow[c];
-    }
-    for (std::size_t c = 0; c < x.cols(); ++c) orow[c] *= inv;
-  }
-  const bool needs = node(a).needs_grad;
-  const auto ai = a.index;
-  return emit(std::move(out), needs, [ai, segment, inv](Tape& tape, const Node& self) {
-    if (!tape.nodes_[ai].needs_grad) return;
-    la::Matrix& g = tape.grad_ref(ai);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* srow = self.grad.data() + (r / segment) * g.cols();
-      double* grow = g.data() + r * g.cols();
-      for (std::size_t c = 0; c < g.cols(); ++c) grow[c] += inv * srow[c];
-    }
-  });
-}
-
 Tensor Tape::flatten_to_row(Tensor a) {
   const la::Matrix& x = value(a);
   la::Matrix out(1, x.size());

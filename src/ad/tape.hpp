@@ -75,18 +75,6 @@ class Tape {
   /// n x c -> 1 x c column means (graph pooling for the critic).
   Tensor mean_rows(Tensor a);
 
-  /// Rows [begin, begin+count) of an n x c matrix -> count x c copy.
-  /// Backward scatters into exactly those rows. Used to split a batched
-  /// (steps*n) x c encoder output back into per-step blocks.
-  Tensor slice_rows(Tensor a, std::size_t begin, std::size_t count);
-
-  /// (s*segment) x c -> s x c: row r of the output is the column mean of
-  /// input rows [r*segment, (r+1)*segment). Each segment is summed in
-  /// ascending row order then scaled, so segment s of the result is
-  /// bit-identical to mean_rows over that block alone. Rows must divide
-  /// evenly by `segment`.
-  Tensor mean_rows_segments(Tensor a, std::size_t segment);
-
   /// n x m -> 1 x (n*m) row-major flatten (per-link logits -> action logits).
   Tensor flatten_to_row(Tensor a);
 

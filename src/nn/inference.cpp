@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace np::nn {
 
@@ -25,18 +24,6 @@ std::size_t max_row_nnz(const la::CsrMatrix& a) {
   return best;
 }
 }  // namespace
-
-InferenceMode inference_mode_from_env() {
-  const std::string value = env_string("NEUROPLAN_INFERENCE", "fast");
-  if (value == "fast") return InferenceMode::kFast;
-  if (value == "tape") return InferenceMode::kTape;
-  throw std::invalid_argument(
-      "NEUROPLAN_INFERENCE must be 'tape' or 'fast', got '" + value + "'");
-}
-
-const char* to_string(InferenceMode mode) {
-  return mode == InferenceMode::kFast ? "fast" : "tape";
-}
 
 InferenceEngine::InferenceEngine(ActorCritic& network)
     : network_(&network), config_(network.config()) {

@@ -13,9 +13,10 @@
 // The fast path is BIT-IDENTICAL to the tape path (not merely close):
 // every kernel reduces in the same ascending order as la::Matrix /
 // ad::Tape, so a trainer acting through the engine samples the exact
-// action sequence the tape would have sampled. That is what lets
-// NEUROPLAN_INFERENCE=fast stay the default without perturbing the
-// reproducibility guarantees (see docs/INTERNALS.md §8).
+// action sequence the tape would have sampled. That is what lets the
+// engine be the only acting path without perturbing the
+// reproducibility guarantees (see docs/INTERNALS.md §8). Training-time
+// (update) forwards always go through the tape — gradients need it.
 //
 // Batching is ragged block-diagonal: heterogeneous node-count graphs
 // are stacked pad-free (la::RaggedLayout); sparse ops run per block
@@ -36,17 +37,6 @@
 #include "nn/actor_critic.hpp"
 
 namespace np::nn {
-
-/// Which forward path acting uses. Training-time (update) forwards
-/// always go through the tape — gradients need it.
-enum class InferenceMode { kTape, kFast };
-
-/// Parse the NEUROPLAN_INFERENCE env var: "fast" (default) or "tape"
-/// (the escape hatch). Throws std::invalid_argument on anything else —
-/// a typo must not silently change the execution path.
-InferenceMode inference_mode_from_env();
-
-const char* to_string(InferenceMode mode);
 
 class InferenceEngine {
  public:

@@ -35,7 +35,7 @@ void PlanEvaluator::set_quarantined(std::vector<int> scenario_ids) {
   for (int id : scenario_ids) {
     (void)id;
     NP_ASSERT(id >= 0 && id < num_scenarios(),
-              "set_quarantined: scenario " << id << " out of range");
+              "set_quarantined: scenario ", id, " out of range");
   }
   std::sort(scenario_ids.begin(), scenario_ids.end());
   scenario_ids.erase(std::unique(scenario_ids.begin(), scenario_ids.end()),
@@ -143,10 +143,14 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
   // Scenarios below `start` were survived earlier in the trajectory and
   // are short-circuited by stateful checking — the paper's §5 speedup.
   scenarios_skipped.add(start);
+  // kStateful: the resume point never moves past a quarantined scenario
+  // — skipping it proved nothing, so a later check must revisit it.
+  int first_quarantined = -1;
   for (int scenario = start; scenario < num_scenarios(); ++scenario) {
     if (std::binary_search(quarantined_.begin(), quarantined_.end(), scenario)) {
       // Quarantined by the serving layer: skipped, never assumed
       // feasible — the final verdict degrades to kUnknown below.
+      if (first_quarantined < 0) first_quarantined = scenario;
       ++aggregate.quarantined_skipped;
       continue;
     }
@@ -174,7 +178,9 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
       aggregate.verdict = one.verdict;
       aggregate.violated_scenario = scenario;
       aggregate.unserved_gbps = one.unserved_gbps;
-      if (mode_ == EvaluatorMode::kStateful) next_unchecked_ = scenario;
+      if (mode_ == EvaluatorMode::kStateful) {
+        next_unchecked_ = first_quarantined >= 0 ? first_quarantined : scenario;
+      }
       return aggregate;
     }
   }
@@ -184,6 +190,7 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
     // pass as feasibility.
     aggregate.feasible = false;
     aggregate.verdict = Verdict::kUnknown;
+    if (mode_ == EvaluatorMode::kStateful) next_unchecked_ = first_quarantined;
     return aggregate;
   }
   aggregate.feasible = true;

@@ -82,9 +82,7 @@ struct CheckResult {
   int quarantined_skipped = 0;
   int scenarios_checked = 0;
   long lp_iterations = 0;
-  /// Seconds spent inside lp::solve for this check. Sequential
-  /// evaluators report wall-clock; the parallel evaluator sums across
-  /// worker threads (CPU-seconds of LP work, not elapsed time).
+  /// Wall-clock seconds spent inside lp::solve for this check.
   double lp_seconds = 0.0;
 };
 

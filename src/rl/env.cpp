@@ -11,6 +11,7 @@ PlanningEnv::PlanningEnv(const topo::Topology& topology, const EnvConfig& config
     : topology_(topology),
       config_(config),
       transform_(topo::node_link_transform(topology)),
+      evaluator_(topology, config.evaluator_mode),
       initial_units_(topology.initial_units()) {
   if (config.max_units_per_step < 1) {
     throw std::invalid_argument("PlanningEnv: max_units_per_step must be >= 1");
@@ -18,18 +19,7 @@ PlanningEnv::PlanningEnv(const topo::Topology& topology, const EnvConfig& config
   if (config.max_trajectory_steps < 1) {
     throw std::invalid_argument("PlanningEnv: max_trajectory_steps must be >= 1");
   }
-  if (config.evaluator_threads < 1) {
-    throw std::invalid_argument("PlanningEnv: evaluator_threads must be >= 1");
-  }
-  if (config.evaluator_threads > 1) {
-    parallel_evaluator_ = std::make_unique<plan::ParallelPlanEvaluator>(
-        topology, config.evaluator_threads);
-    parallel_evaluator_->set_scenario_budget(config.scenario_time_limit_seconds);
-  } else {
-    sequential_evaluator_ =
-        std::make_unique<plan::PlanEvaluator>(topology, config.evaluator_mode);
-    sequential_evaluator_->set_scenario_budget(config.scenario_time_limit_seconds);
-  }
+  evaluator_.set_scenario_budget(config.scenario_time_limit_seconds);
   // Reward scale: the most expensive possible single step, so each
   // intermediate reward lands in [-1, 0] (§4.2 "reward representation").
   double max_unit_cost = 0.0;
@@ -44,11 +34,7 @@ void PlanningEnv::reset() {
   units_ = initial_units_;
   steps_ = 0;
   done_ = false;
-  if (parallel_evaluator_) {
-    parallel_evaluator_->reset();
-  } else {
-    sequential_evaluator_->reset();
-  }
+  evaluator_.reset();
 }
 
 la::Matrix PlanningEnv::features() const {
@@ -112,9 +98,7 @@ StepResult PlanningEnv::step(int flat_action) {
   StepResult result;
   result.reward = -(add * topology_.link_unit_cost(link)) / reward_scale_;
 
-  const plan::CheckResult check = parallel_evaluator_
-                                      ? parallel_evaluator_->check(units_)
-                                      : sequential_evaluator_->check(units_);
+  const plan::CheckResult check = evaluator_.check(units_);
   if (check.feasible) {
     result.done = true;
     result.feasible = true;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "ad/tape.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -70,7 +69,6 @@ int sample_from_log_probs(const double* log_probs,
 RolloutWorkers::RolloutWorkers(PlanningEnv& env, Rng& rng, nn::ActorCritic& network)
     : network_(network),
       workers_(1),
-      mode_(nn::inference_mode_from_env()),
       borrowed_env_(&env),
       borrowed_rng_(&rng) {
   feature_buffers_.resize(1);
@@ -81,7 +79,7 @@ RolloutWorkers::RolloutWorkers(const topo::Topology& topology,
                                const EnvConfig& env_config,
                                nn::ActorCritic& network, int workers,
                                unsigned seed)
-    : network_(network), workers_(workers), mode_(nn::inference_mode_from_env()) {
+    : network_(network), workers_(workers) {
   if (workers < 1) {
     throw std::invalid_argument("RolloutWorkers: workers must be >= 1");
   }
@@ -94,11 +92,6 @@ RolloutWorkers::RolloutWorkers(const topo::Topology& topology,
     envs_.push_back(std::make_unique<PlanningEnv>(topology, env_config));
     rngs_.push_back(base.split());
   }
-  // All envs share one topology, so one block-diagonal family serves
-  // every round; the cache also keeps the block matrices alive at
-  // stable addresses (the GAT neighbor cache keys on the address).
-  adjacency_cache_ =
-      std::make_unique<la::BlockDiagonalCache>(envs_.front()->adjacency());
   const int participants = std::min(workers, util::ThreadPool::hardware_threads());
   pool_ = std::make_unique<util::ThreadPool>(std::max(0, participants - 1));
 }
@@ -136,11 +129,6 @@ double RolloutWorkers::total_lp_seconds() const {
   return total;
 }
 
-void RolloutWorkers::set_inference_mode(nn::InferenceMode mode) {
-  mode_ = mode;
-  if (mode == nn::InferenceMode::kTape) engine_.reset();
-}
-
 void RolloutWorkers::prepare_engine() {
   if (engine_ == nullptr) {
     engine_ = std::make_unique<nn::InferenceEngine>(network_);
@@ -155,7 +143,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect(int total_steps) {
     throw std::invalid_argument("RolloutWorkers::collect: total_steps < 1");
   }
   NP_SPAN("rollout.collect");
-  if (mode_ == nn::InferenceMode::kFast) prepare_engine();
+  prepare_engine();
   std::vector<WorkerRollout> out;
   if (borrowed_env_ != nullptr) {
     out.push_back(collect_serial(*borrowed_env_, *borrowed_rng_, total_steps));
@@ -169,8 +157,8 @@ std::vector<WorkerRollout> RolloutWorkers::collect(int total_steps) {
 WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
                                              int steps) {
   // Mirrors the original serial trainer loop operation-for-operation
-  // (same tape layout, same single rng.uniform() per step) so borrowed
-  // mode reproduces the pre-threading trainer bit-for-bit.
+  // (bit-identical forwards, same single rng.uniform() per step) so
+  // borrowed mode reproduces the pre-threading trainer bit-for-bit.
   WorkerRollout rollout;
   rollout.records.reserve(steps);
   double trajectory_return = 0.0;
@@ -193,23 +181,13 @@ WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
 
     {
       NP_SPAN("rollout.forward");
-      if (engine_ != nullptr) {
-        // Tape-free path: one shared encoder pass for policy + value,
-        // bit-identical to the tape forwards below.
-        const nn::InferenceEngine::Output out = engine_->forward(
-            *env.adjacency(), record.features, record.mask, /*want_value=*/true);
-        record.action = sample_from_log_probs(out.log_probs, record.mask, rng);
-        record.log_prob = out.log_probs[record.action];
-        record.value = out.value;
-      } else {
-        ad::Tape tape;
-        ad::Tensor log_probs = network_.policy_log_probs(tape, env.adjacency(),
-                                                         record.features, record.mask);
-        ad::Tensor value = network_.value(tape, env.adjacency(), record.features);
-        record.action = sample_from_log_probs(tape.value(log_probs), record.mask, rng);
-        record.log_prob = tape.value(log_probs)(0, record.action);
-        record.value = tape.value(value)(0, 0);
-      }
+      // One shared encoder pass for policy + value, bit-identical to
+      // the tape forwards the update phase recomputes.
+      const nn::InferenceEngine::Output out = engine_->forward(
+          *env.adjacency(), record.features, record.mask, /*want_value=*/true);
+      record.action = sample_from_log_probs(out.log_probs, record.mask, rng);
+      record.log_prob = out.log_probs[record.action];
+      record.value = out.value;
     }
 
     StepResult step;
@@ -244,13 +222,7 @@ WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
 
   if (!rollout.records.back().terminal) {
     env.features_into(features);
-    if (engine_ != nullptr) {
-      rollout.last_value = engine_->value(*env.adjacency(), features);
-    } else {
-      ad::Tape tape;
-      ad::Tensor v = network_.value(tape, env.adjacency(), features);
-      rollout.last_value = tape.value(v)(0, 0);
-    }
+    rollout.last_value = engine_->value(*env.adjacency(), features);
   }
   return rollout;
 }
@@ -304,11 +276,10 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
       envs_[w]->action_mask_into(masks[w]);
     }
 
-    if (engine_ != nullptr) {
+    {
       NP_SPAN("rollout.forward");
       // Tape-free ragged batch: per-block forwards against each env's
-      // own adjacency are bit-identical to the block-diagonal tape
-      // forward below, with no stacking copy and no tape nodes.
+      // own adjacency, bit-identical to per-state tape forwards.
       graph_inputs_.clear();
       for (int w : active) {
         graph_inputs_.push_back(nn::InferenceEngine::GraphInput{
@@ -328,36 +299,6 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
             sample_from_log_probs(forward.log_probs[s], record.mask, rngs_[w]);
         record.log_prob = forward.log_probs[s][record.action];
         record.value = forward.values[s];
-        rollouts[w].records.push_back(std::move(record));
-      }
-    } else {
-      NP_SPAN("rollout.forward");
-      std::vector<const la::Matrix*> feature_parts;
-      std::vector<const std::vector<std::uint8_t>*> mask_parts;
-      feature_parts.reserve(active.size());
-      mask_parts.reserve(active.size());
-      for (int w : active) {
-        feature_parts.push_back(&features[w]);
-        mask_parts.push_back(&masks[w]);
-      }
-
-      ad::Tape tape;
-      const la::Matrix stacked = la::vstack(feature_parts);
-      auto forward = network_.forward_batch(
-          tape, adjacency_cache_->get(static_cast<int>(active.size())), stacked,
-          mask_parts, /*want_values=*/true);
-
-      // Sample in ascending worker order, each from its own RNG stream:
-      // the draw sequence depends only on (seed, worker), not scheduling.
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        const int w = active[s];
-        StepRecord record;
-        record.features = features[w];
-        record.mask = masks[w];
-        record.action =
-            sample_from_log_probs(tape.value(forward.log_probs[s]), record.mask, rngs_[w]);
-        record.log_prob = tape.value(forward.log_probs[s])(0, record.action);
-        record.value = tape.value(forward.values[s])(0, 0);
         rollouts[w].records.push_back(std::move(record));
       }
     }
@@ -410,13 +351,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
   for (int w = 0; w < k; ++w) {
     if (rollouts[w].records.empty() || rollouts[w].records.back().terminal) continue;
     envs_[w]->features_into(features[w]);
-    if (engine_ != nullptr) {
-      rollouts[w].last_value = engine_->value(*envs_[w]->adjacency(), features[w]);
-    } else {
-      ad::Tape tape;
-      ad::Tensor v = network_.value(tape, envs_[w]->adjacency(), features[w]);
-      rollouts[w].last_value = tape.value(v)(0, 0);
-    }
+    rollouts[w].last_value = engine_->value(*envs_[w]->adjacency(), features[w]);
   }
   return rollouts;
 }

@@ -10,8 +10,8 @@
 //    bit-for-bit identical to the pre-threading trainer.
 //  * Owned (K > 1): owns K envs, each with its own RNG stream derived
 //    deterministically from (seed, worker index). Workers advance in
-//    lockstep rounds: the active workers' feature matrices are stacked
-//    into one batched network forward (block-diagonal adjacency), then
+//    lockstep rounds: the active workers' states go through one ragged
+//    batched forward of the tape-free inference engine, then
 //    actions are sampled and applied per worker in ascending worker
 //    order. Environment stepping (the LP feasibility checks) runs on a
 //    thread pool. Results depend only on (K, seed, network weights) —
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "la/sparse.hpp"
 #include "nn/actor_critic.hpp"
 #include "nn/inference.hpp"
 #include "rl/env.hpp"
@@ -100,16 +99,9 @@ class RolloutWorkers {
   int workers() const { return workers_; }
   bool borrowed() const { return borrowed_env_ != nullptr; }
 
-  /// Acting-time forward path: kFast (default, from NEUROPLAN_INFERENCE)
-  /// runs action selection through the tape-free nn::InferenceEngine —
-  /// bit-identical to the tape, so both the borrowed-mode "bit-for-bit
-  /// the serial trainer" guarantee and the owned-mode (K, seed)
-  /// determinism hold in either mode. kTape is the escape hatch.
-  nn::InferenceMode inference_mode() const { return mode_; }
-  void set_inference_mode(nn::InferenceMode mode);
-  /// The engine backing fast-mode acting (nullptr in tape mode or
-  /// before the first fast collect). Exposed for arena introspection in
-  /// tests and benches.
+  /// The tape-free engine that selects every action (bit-identical to
+  /// tape forwards); nullptr before the first collect. Exposed for
+  /// arena introspection in tests and benches.
   const nn::InferenceEngine* inference_engine() const { return engine_.get(); }
 
   /// RNG states of the owned per-worker streams, worker-ordered
@@ -137,7 +129,6 @@ class RolloutWorkers {
 
   nn::ActorCritic& network_;
   int workers_ = 1;
-  nn::InferenceMode mode_ = nn::InferenceMode::kFast;
   std::unique_ptr<nn::InferenceEngine> engine_;
   // Observation buffers reused across steps/rounds: the envs write into
   // these (features_into/action_mask_into) and records COPY them, so
@@ -153,7 +144,6 @@ class RolloutWorkers {
   // Owned mode.
   std::vector<std::unique_ptr<PlanningEnv>> envs_;
   std::vector<Rng> rngs_;
-  std::unique_ptr<la::BlockDiagonalCache> adjacency_cache_;
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

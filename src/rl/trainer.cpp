@@ -28,8 +28,7 @@ A2cTrainer::A2cTrainer(const topo::Topology& topology, const TrainConfig& config
       env_(topology, config.env),
       network_(reconcile(config), rng_),
       actor_optimizer_(ad::AdamConfig{.learning_rate = config.actor_learning_rate}),
-      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}),
-      adjacency_cache_(env_.adjacency()) {
+      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}) {
   if (config.steps_per_epoch < 1 || config.epochs < 1 || config.chunk_steps < 1) {
     throw std::invalid_argument("A2cTrainer: epochs/steps/chunk must be positive");
   }
@@ -148,19 +147,6 @@ EpochStats A2cTrainer::run_epoch() {
   return stats;
 }
 
-namespace {
-
-/// Stack the chunk's feature matrices for one batched forward.
-la::Matrix stack_chunk_features(const std::vector<StepRecord>& buffer,
-                                std::size_t begin, std::size_t end) {
-  std::vector<const la::Matrix*> parts;
-  parts.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) parts.push_back(&buffer[i].features);
-  return la::vstack(parts);
-}
-
-}  // namespace
-
 void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
                                const std::vector<double>& advantages) {
   NP_SPAN("train.update_policy");
@@ -170,25 +156,11 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
     const std::size_t end =
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
     ad::Tape tape;
-    // Per-step log-prob tensors; batched mode shares one encoder/actor
-    // forward across the chunk (same values, ulp-different gradients —
-    // see TrainConfig::batched_updates).
     std::vector<ad::Tensor> step_log_probs;
     step_log_probs.reserve(end - begin);
-    if (config_.batched_updates) {
-      std::vector<const std::vector<std::uint8_t>*> masks;
-      masks.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) masks.push_back(&buffer[i].mask);
-      const la::Matrix stacked = stack_chunk_features(buffer, begin, end);
-      auto forward = network_.forward_batch(
-          tape, adjacency_cache_.get(static_cast<int>(end - begin)), stacked,
-          masks, /*want_values=*/false);
-      step_log_probs = std::move(forward.log_probs);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        step_log_probs.push_back(network_.policy_log_probs(
-            tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
-      }
+    for (std::size_t i = begin; i < end; ++i) {
+      step_log_probs.push_back(network_.policy_log_probs(
+          tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
     }
     ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
     for (std::size_t i = begin; i < end; ++i) {
@@ -234,19 +206,8 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
     ad::Tape tape;
     std::vector<ad::Tensor> step_values;
     step_values.reserve(end - begin);
-    if (config_.batched_updates) {
-      const la::Matrix stacked = stack_chunk_features(buffer, begin, end);
-      ad::Tensor values = network_.value_batch(
-          tape, adjacency_cache_.get(static_cast<int>(end - begin)), stacked,
-          end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        step_values.push_back(tape.pick(values, i - begin, 0));
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        step_values.push_back(
-            network_.value(tape, env_.adjacency(), buffer[i].features));
-      }
+    for (std::size_t i = begin; i < end; ++i) {
+      step_values.push_back(network_.value(tape, env_.adjacency(), buffer[i].features));
     }
     ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
     for (std::size_t i = begin; i < end; ++i) {
@@ -259,21 +220,20 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   critic_optimizer_.step();
 }
 
-nn::InferenceEngine* A2cTrainer::acting_engine() {
-  if (nn::inference_mode_from_env() == nn::InferenceMode::kTape) return nullptr;
+nn::InferenceEngine& A2cTrainer::acting_engine() {
   if (acting_engine_storage_ == nullptr) {
     acting_engine_storage_ = std::make_unique<nn::InferenceEngine>(network_);
   } else {
     acting_engine_storage_->refresh();
   }
-  return acting_engine_storage_.get();
+  return *acting_engine_storage_;
 }
 
 A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
   if (rollouts < 1) throw std::invalid_argument("evaluate_policy: rollouts < 1");
   PolicyEvaluation eval;
   eval.rollouts = rollouts;
-  nn::InferenceEngine* engine = acting_engine();
+  nn::InferenceEngine& engine = acting_engine();
   double cost_sum = 0.0;
   double best = kUnset;
   for (int r = 0; r < rollouts; ++r) {
@@ -281,17 +241,9 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
     while (!env_.done()) {
       const la::Matrix features = env_.features();
       const std::vector<std::uint8_t> mask = env_.action_mask();
-      int action = -1;
-      if (engine != nullptr) {
-        const nn::InferenceEngine::Output out =
-            engine->forward(*env_.adjacency(), features, mask, /*want_value=*/false);
-        action = sample_from_log_probs(out.log_probs, mask, rng_);
-      } else {
-        ad::Tape tape;
-        ad::Tensor log_probs =
-            network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-        action = sample_from_log_probs(tape.value(log_probs), mask, rng_);
-      }
+      const nn::InferenceEngine::Output out =
+          engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
+      const int action = sample_from_log_probs(out.log_probs, mask, rng_);
       const StepResult step = env_.step(action);
       if (step.feasible) {
         ++eval.feasible;
@@ -316,32 +268,18 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
 bool A2cTrainer::greedy_rollout() {
   env_.reset();
   bool feasible = false;
-  nn::InferenceEngine* engine = acting_engine();
+  nn::InferenceEngine& engine = acting_engine();
   while (!env_.done()) {
     const la::Matrix features = env_.features();
     const std::vector<std::uint8_t> mask = env_.action_mask();
+    const nn::InferenceEngine::Output out =
+        engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
     int action = -1;
-    if (engine != nullptr) {
-      const nn::InferenceEngine::Output out =
-          engine->forward(*env_.adjacency(), features, mask, /*want_value=*/false);
-      double best = -1e301;
-      for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && out.log_probs[i] > best) {
-          best = out.log_probs[i];
-          action = static_cast<int>(i);
-        }
-      }
-    } else {
-      ad::Tape tape;
-      ad::Tensor log_probs =
-          network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-      const la::Matrix& lp = tape.value(log_probs);
-      double best = -1e301;
-      for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && lp(0, i) > best) {
-          best = lp(0, i);
-          action = static_cast<int>(i);
-        }
+    double best = -1e301;
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] && out.log_probs[i] > best) {
+        best = out.log_probs[i];
+        action = static_cast<int>(i);
       }
     }
     if (action < 0) break;  // dead mask

@@ -17,7 +17,7 @@
 //
 // Concurrency model: the trainer is single-threaded orchestration.
 // Parallelism lives below it — rollout workers own disjoint env/RNG
-// state and the parallel evaluator owns per-thread LP caches — so the
+// state, each env with its own evaluator and LP caches — so the
 // trainer itself holds no locks and has nothing to NP_GUARDED_BY.
 // Checkpoint save/load (checkpoint.cpp) likewise runs only between
 // epochs, when no worker is in flight.
@@ -63,11 +63,6 @@ struct TrainConfig {
   /// runs K independent envs in lockstep (deterministic for fixed K and
   /// seed, regardless of thread count). See rl/rollout.hpp.
   int rollout_workers = 1;
-  /// Recompute update-phase forwards in one batched pass per chunk
-  /// (block-diagonal adjacency) instead of per step. Changes gradient
-  /// summation order by ulps — off by default to preserve bit-exact
-  /// reproducibility with the serial trainer.
-  bool batched_updates = false;
   /// Crash safety: save a full-state checkpoint to checkpoint_path
   /// every this many epochs (and again on early stop and completion).
   /// 0 disables. Snapshots are written atomically, so a crash mid-save
@@ -153,9 +148,8 @@ class A2cTrainer {
   void update_critic(const std::vector<StepRecord>& buffer,
                      const std::vector<double>& rewards_to_go);
   /// Tape-free engine for evaluate_policy/greedy_rollout action
-  /// selection (NEUROPLAN_INFERENCE=fast, the default); nullptr in tape
-  /// mode. Re-snapshots the current weights on every call.
-  nn::InferenceEngine* acting_engine();
+  /// selection. Re-snapshots the current weights on every call.
+  nn::InferenceEngine& acting_engine();
 
   static constexpr double kUnset = kUnsetCost;
 
@@ -167,7 +161,6 @@ class A2cTrainer {
   ad::Adam critic_optimizer_;
   std::unique_ptr<RolloutWorkers> rollout_;
   std::unique_ptr<nn::InferenceEngine> acting_engine_storage_;
-  la::BlockDiagonalCache adjacency_cache_;  ///< for batched updates
   double best_cost_ = kUnset;
   std::vector<int> best_added_;
   int epoch_counter_ = 0;

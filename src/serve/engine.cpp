@@ -61,7 +61,7 @@ void fill_degraded(Reply& reply, const char* reason) {
 Engine::Engine(const topo::Topology& topology, const EngineConfig& config)
     : topology_(topology), config_(config) {
   NP_ASSERT(config.workers >= 1 && config.workers <= 256,
-            "Engine: worker count " << config.workers << " out of range");
+            "Engine: worker count ", config.workers, " out of range");
   NP_ASSERT(config.queue_capacity >= 1,
             "Engine: queue capacity must be positive");
   topology_.validate();
@@ -161,7 +161,7 @@ void Engine::submit(const Request& request, ReplyFn reply) {
 
 void Engine::worker_loop(int worker_index) {
   NP_ASSERT(worker_index >= 0 && worker_index < config_.workers,
-            "Engine::worker_loop: shard " << worker_index << " out of range");
+            "Engine::worker_loop: shard ", worker_index, " out of range");
   // One resident evaluator per shard: scenario models built on first
   // touch, patched and warm-started for every later query.
   plan::PlanEvaluator evaluator(topology_, plan::EvaluatorMode::kWarmPatched);
@@ -209,8 +209,8 @@ Reply Engine::process(const Task& task, plan::PlanEvaluator& evaluator,
                       Rng& rng) {
   NP_ASSERT(task.request.kind == RequestKind::kCheck ||
                 task.request.kind == RequestKind::kCost,
-            "Engine::process: kind " << to_string(task.request.kind)
-                                     << " is answered at admission");
+            "Engine::process: kind ", to_string(task.request.kind),
+            " is answered at admission");
   if (task.request.kind == RequestKind::kCost) {
     Reply reply;
     reply.status = ReplyStatus::kOk;
@@ -344,7 +344,7 @@ void Engine::deliver(const Task& task, Reply reply) {
 
 void Engine::quarantine(int scenario) {
   NP_ASSERT(scenario >= 0 && scenario <= topology_.num_failures(),
-            "Engine::quarantine: scenario " << scenario << " out of range");
+            "Engine::quarantine: scenario ", scenario, " out of range");
   bool inserted = false;
   {
     util::LockGuard lock(mutex_);
@@ -379,8 +379,8 @@ void Engine::drain() {
   // Postcondition: workers only exit on (draining && queue empty), so
   // once they are joined every accepted query has been answered.
   util::LockGuard lock(mutex_);
-  NP_ASSERT(queue_.empty(), "Engine::drain: " << queue_.size()
-                                              << " queries left unanswered");
+  NP_ASSERT(queue_.empty(), "Engine::drain: ", queue_.size(),
+            " queries left unanswered");
 }
 
 bool Engine::draining() const {

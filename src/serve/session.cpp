@@ -53,8 +53,8 @@ void Session::on_bytes(const char* data, std::size_t size) {
 
 void Session::dispatch(const std::string& payload) {
   NP_ASSERT(payload.size() <= kMaxFrameBytes,
-            "Session::dispatch: " << payload.size()
-                                  << "-byte payload leaked past the framer");
+            "Session::dispatch: ", payload.size(),
+            "-byte payload leaked past the framer");
   Request request;
   try {
     request = parse_request(payload);

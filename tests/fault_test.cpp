@@ -1,14 +1,13 @@
 // Fault-injection harness: trigger arithmetic is exercised in every
 // build; the throw-site integration tests (LP refactorization,
-// checkpoint I/O, evaluator workers, rollout steps) require a build
-// with NEUROPLAN_FAULTS=ON and skip elsewhere.
+// checkpoint I/O, rollout steps on the serial and pooled paths)
+// require a build with NEUROPLAN_FAULTS=ON and skip elsewhere.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
 #include "ad/snapshot.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "rl/trainer.hpp"
 #include "topo/generator.hpp"
@@ -186,27 +185,8 @@ TEST_F(FaultTest, LpRefactorFaultPropagatesFromSolve) {
   EXPECT_GE(check.lp_iterations, 0);
 }
 
-TEST_F(FaultTest, ParallelEvaluatorWorkerFaultPropagatesAndPoolSurvives) {
-  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
-  const topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 3);
-  const std::vector<int> plan_units(static_cast<std::size_t>(t.num_links()), 1);
-  FaultInjector::instance().arm("plan.worker", FaultSpec{0.0, 1});
-  EXPECT_THROW(eval.check(plan_units), InjectedFault);
-  FaultInjector::instance().disarm_all();
-  // Exception safety contract: the pool drained, the evaluator works.
-  const plan::CheckResult after = eval.check(plan_units);
-  EXPECT_EQ(after.scenarios_checked, eval.num_scenarios());
-  // And a second faulted round still cancels cleanly.
-  FaultInjector::instance().arm("plan.worker", FaultSpec{0.0, 2});
-  EXPECT_THROW(eval.check(plan_units), InjectedFault);
-  FaultInjector::instance().disarm_all();
-  EXPECT_EQ(eval.check(plan_units).scenarios_checked, eval.num_scenarios());
-}
-
-TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
-  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
-  const topo::Topology t = topo::make_preset('A');
+/// Small A2C config on preset A shared by the rollout-step fault tests.
+rl::TrainConfig rollout_fault_config() {
   rl::TrainConfig config;
   config.env.max_units_per_step = 4;
   config.env.max_trajectory_steps = 100;
@@ -217,6 +197,31 @@ TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
   config.steps_per_epoch = 64;
   config.chunk_steps = 32;
   config.seed = 5;
+  return config;
+}
+
+TEST_F(FaultTest, RolloutPoolStepFaultPropagatesAndPoolSurvives) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  rl::TrainConfig config = rollout_fault_config();
+  config.rollout_workers = 3;  // lockstep rounds: env steps run on the pool
+  rl::A2cTrainer trainer(t, config);
+  FaultInjector::instance().arm("rollout.step", FaultSpec{0.0, 1});
+  EXPECT_THROW(trainer.run_epoch(), InjectedFault);
+  FaultInjector::instance().disarm_all();
+  // Exception safety contract: the pool drained, the next epoch works.
+  EXPECT_EQ(trainer.run_epoch().steps, config.steps_per_epoch);
+  // And a second faulted round still unwinds cleanly.
+  FaultInjector::instance().arm("rollout.step", FaultSpec{0.0, 2});
+  EXPECT_THROW(trainer.run_epoch(), InjectedFault);
+  FaultInjector::instance().disarm_all();
+  EXPECT_EQ(trainer.run_epoch().steps, config.steps_per_epoch);
+}
+
+TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  const rl::TrainConfig config = rollout_fault_config();
   rl::A2cTrainer trainer(t, config);
   FaultInjector::instance().arm("rollout.step", FaultSpec{0.0, 7});
   EXPECT_THROW(trainer.run_epoch(), InjectedFault);

@@ -1,10 +1,10 @@
 // Tape-free inference engine: kernel and whole-network differentials
 // against the tape (bit-identical, not merely close), ragged batching
 // vs per-graph forwards, steady-state zero-allocation guarantees, and
-// fast-vs-tape rollout determinism.
+// engine-backed rollouts checked against the tape as oracle.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 #include <memory>
 #include <vector>
 
@@ -379,91 +379,86 @@ TEST(InferenceEngine, SteadyStateActingIsAllocationFree) {
   EXPECT_LE(engine.arena_high_water_bytes(), engine.arena_capacity_bytes());
 }
 
-// ---- rollout determinism: fast vs tape ----
+// ---- rollout determinism: the tape as oracle ----
 
-TEST(InferenceDeterminism, LockstepRolloutsIdenticalFastVsTape) {
+/// Replays a collected worker rollout in a fresh env and recomputes
+/// every record's log-prob and value on the tape from the record's own
+/// features and mask: the engine-backed acting path must match bitwise
+/// (identical action sequences need identical RNG consumption, which
+/// needs bit-identical log-probs). The replay also pins the stored
+/// observations and rewards, and the bootstrap value of a cut-off
+/// trajectory.
+void expect_rollout_matches_tape(const topo::Topology& topology,
+                                 const rl::EnvConfig& env_config,
+                                 nn::ActorCritic& network,
+                                 const rl::WorkerRollout& rollout) {
+  ASSERT_FALSE(rollout.records.empty());
+  rl::PlanningEnv replay(topology, env_config);
+  for (std::size_t s = 0; s < rollout.records.size(); ++s) {
+    const rl::StepRecord& record = rollout.records[s];
+    ASSERT_EQ(record.features, replay.features()) << "step " << s;
+    ASSERT_EQ(record.mask, replay.action_mask()) << "step " << s;
+    ad::Tape tape;
+    ad::Tensor log_probs = network.policy_log_probs(tape, replay.adjacency(),
+                                                    record.features, record.mask);
+    ad::Tensor value = network.value(tape, replay.adjacency(), record.features);
+    ASSERT_EQ(record.log_prob, tape.value(log_probs)(0, record.action)) << "step " << s;
+    ASSERT_EQ(record.value, tape.value(value)(0, 0)) << "step " << s;
+    const rl::StepResult step = replay.step(record.action);
+    ASSERT_EQ(record.reward, step.reward) << "step " << s;
+    ASSERT_EQ(record.terminal, step.done) << "step " << s;
+    if (step.done) replay.reset();
+  }
+  if (rollout.records.back().terminal) {
+    ASSERT_EQ(rollout.last_value, 0.0);
+  } else {
+    ad::Tape tape;
+    ad::Tensor value = network.value(tape, replay.adjacency(), replay.features());
+    ASSERT_EQ(rollout.last_value, tape.value(value)(0, 0));
+  }
+}
+
+nn::NetworkConfig small_rollout_network() {
+  nn::NetworkConfig config;
+  config.feature_dim = 4;
+  config.gcn_layers = 2;
+  config.gcn_hidden = 16;
+  config.mlp_hidden = {16};
+  return config;
+}
+
+TEST(InferenceDeterminism, LockstepRolloutMatchesTapeOracle) {
   const topo::Topology topology = topo::make_preset('A');
   rl::EnvConfig env_config;
   env_config.max_units_per_step = 4;
   env_config.max_trajectory_steps = 64;
-
-  auto run = [&](nn::InferenceMode mode) {
-    Rng init(71);
-    nn::NetworkConfig net_config;
-    net_config.feature_dim = 4;
-    net_config.gcn_layers = 2;
-    net_config.gcn_hidden = 16;
-    net_config.mlp_hidden = {16};
-    nn::ActorCritic network(net_config, init);
-    rl::RolloutWorkers workers(topology, env_config, network, /*workers=*/3,
-                               /*seed=*/7);
-    workers.set_inference_mode(mode);
-    return workers.collect(90);
-  };
-
-  const std::vector<rl::WorkerRollout> fast = run(nn::InferenceMode::kFast);
-  const std::vector<rl::WorkerRollout> tape = run(nn::InferenceMode::kTape);
-  ASSERT_EQ(fast.size(), tape.size());
-  for (std::size_t w = 0; w < fast.size(); ++w) {
-    ASSERT_EQ(fast[w].records.size(), tape[w].records.size()) << "worker " << w;
-    for (std::size_t s = 0; s < fast[w].records.size(); ++s) {
-      // Identical action SEQUENCES require identical RNG consumption,
-      // which requires bit-identical log-probs at every step.
-      ASSERT_EQ(fast[w].records[s].action, tape[w].records[s].action)
-          << "worker " << w << " step " << s;
-      ASSERT_EQ(fast[w].records[s].log_prob, tape[w].records[s].log_prob);
-      ASSERT_EQ(fast[w].records[s].value, tape[w].records[s].value);
-      ASSERT_EQ(fast[w].records[s].reward, tape[w].records[s].reward);
-    }
-    ASSERT_EQ(fast[w].last_value, tape[w].last_value);
-    ASSERT_EQ(fast[w].best_cost, tape[w].best_cost);
+  Rng init(71);
+  nn::ActorCritic network(small_rollout_network(), init);
+  rl::RolloutWorkers workers(topology, env_config, network, /*workers=*/3,
+                             /*seed=*/7);
+  const std::vector<rl::WorkerRollout> rollouts = workers.collect(90);
+  ASSERT_NE(workers.inference_engine(), nullptr);
+  ASSERT_EQ(rollouts.size(), 3u);
+  for (std::size_t w = 0; w < rollouts.size(); ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    expect_rollout_matches_tape(topology, env_config, network, rollouts[w]);
   }
 }
 
-TEST(InferenceDeterminism, BorrowedRolloutIdenticalFastVsTape) {
+TEST(InferenceDeterminism, BorrowedRolloutMatchesTapeOracle) {
   const topo::Topology topology = topo::make_preset('A');
   rl::EnvConfig env_config;
   env_config.max_units_per_step = 4;
   env_config.max_trajectory_steps = 64;
-
-  auto run = [&](nn::InferenceMode mode) {
-    Rng init(81);
-    nn::NetworkConfig net_config;
-    net_config.feature_dim = 4;
-    net_config.gcn_layers = 2;
-    net_config.gcn_hidden = 16;
-    net_config.mlp_hidden = {16};
-    nn::ActorCritic network(net_config, init);
-    rl::PlanningEnv env(topology, env_config);
-    Rng rng(9);
-    rl::RolloutWorkers workers(env, rng, network);
-    workers.set_inference_mode(mode);
-    return workers.collect(60);
-  };
-
-  const std::vector<rl::WorkerRollout> fast = run(nn::InferenceMode::kFast);
-  const std::vector<rl::WorkerRollout> tape = run(nn::InferenceMode::kTape);
-  ASSERT_EQ(fast[0].records.size(), tape[0].records.size());
-  for (std::size_t s = 0; s < fast[0].records.size(); ++s) {
-    ASSERT_EQ(fast[0].records[s].action, tape[0].records[s].action) << s;
-    ASSERT_EQ(fast[0].records[s].log_prob, tape[0].records[s].log_prob);
-    ASSERT_EQ(fast[0].records[s].value, tape[0].records[s].value);
-  }
-  ASSERT_EQ(fast[0].last_value, tape[0].last_value);
-}
-
-// ---- env-var escape hatch ----
-
-TEST(InferenceMode, EnvVarParsesStrictly) {
-  ::unsetenv("NEUROPLAN_INFERENCE");
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kFast);
-  ::setenv("NEUROPLAN_INFERENCE", "tape", 1);
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kTape);
-  ::setenv("NEUROPLAN_INFERENCE", "fast", 1);
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kFast);
-  ::setenv("NEUROPLAN_INFERENCE", "turbo", 1);
-  EXPECT_THROW(nn::inference_mode_from_env(), std::invalid_argument);
-  ::unsetenv("NEUROPLAN_INFERENCE");
+  Rng init(81);
+  nn::ActorCritic network(small_rollout_network(), init);
+  rl::PlanningEnv env(topology, env_config);
+  Rng rng(9);
+  rl::RolloutWorkers workers(env, rng, network);
+  const std::vector<rl::WorkerRollout> rollouts = workers.collect(60);
+  ASSERT_NE(workers.inference_engine(), nullptr);
+  ASSERT_EQ(rollouts.size(), 1u);
+  expect_rollout_matches_tape(topology, env_config, network, rollouts[0]);
 }
 
 }  // namespace

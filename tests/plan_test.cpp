@@ -8,7 +8,6 @@
 #include "milp/branch_and_bound.hpp"
 #include "plan/evaluator.hpp"
 #include "plan/formulation.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "topo/generator.hpp"
 #include "util/deadline.hpp"
@@ -372,67 +371,6 @@ TEST(Formulation, SourceAggregationPreservesOptimum) {
             PlanningMilp(t, per_flow).model().num_variables());
 }
 
-TEST(ParallelEvaluator, MatchesSequentialVerdictsOnRandomPlans) {
-  topo::Topology t = topo::make_preset('A');
-  // Sequential reference checks every scenario from scratch each call
-  // (kSourceAggregation has no stateful skipping), so both evaluators
-  // see identical scenario LPs.
-  PlanEvaluator sequential(t, EvaluatorMode::kSourceAggregation);
-  ParallelPlanEvaluator parallel(t, 3);
-  // Find a uniform per-link addition that makes the plan feasible so
-  // the random trials straddle the feasibility boundary.
-  const std::vector<int> initial = t.initial_units();
-  int scale = 1;
-  for (; scale <= 64; ++scale) {
-    std::vector<int> units = initial;
-    for (auto& u : units) u += scale;
-    if (sequential.check(units).feasible) break;
-  }
-  ASSERT_LE(scale, 64) << "preset A should be plannable";
-  Rng rng(71);
-  int feasible_seen = 0, infeasible_seen = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<int> units = initial;
-    if (trial == 0) {
-      // keep initial units: known infeasible (the agent must add capacity)
-    } else if (trial == 1) {
-      for (auto& u : units) u += scale;  // known feasible
-    } else {
-      for (auto& u : units) u += static_cast<int>(rng.uniform_int(0, scale + 2));
-    }
-    const CheckResult want = sequential.check(units);
-    const CheckResult got = parallel.check(units);
-    EXPECT_EQ(got.feasible, want.feasible) << "trial " << trial;
-    EXPECT_EQ(got.violated_scenario, want.violated_scenario)
-        << "trial " << trial;
-    if (want.feasible) {
-      ++feasible_seen;
-    } else {
-      ++infeasible_seen;
-      EXPECT_GT(got.unserved_gbps, 0.0);
-    }
-  }
-  // The random plans must actually exercise both verdicts.
-  EXPECT_GT(feasible_seen, 0);
-  EXPECT_GT(infeasible_seen, 0);
-}
-
-TEST(ParallelEvaluator, SingleThreadDegradesToSequential) {
-  topo::Topology t = topo::make_preset('A');
-  ParallelPlanEvaluator parallel(t, 1);
-  EXPECT_EQ(parallel.threads(), 1);
-  std::vector<int> none(static_cast<std::size_t>(t.num_links()), 0);
-  EXPECT_FALSE(parallel.check(none).feasible);
-  EXPECT_GT(parallel.total_lp_iterations(), 0);
-}
-
-TEST(ParallelEvaluator, RejectsBadArguments) {
-  topo::Topology t = topo::make_preset('A');
-  EXPECT_THROW(ParallelPlanEvaluator(t, 0), std::invalid_argument);
-  ParallelPlanEvaluator parallel(t, 2);
-  EXPECT_THROW(parallel.check({1, 2}), std::invalid_argument);
-}
-
 TEST(ScenarioLp, DeadlineHitReportsUnknownVerdict) {
   topo::Topology t = figure1();
   ScenarioLp lp = build_scenario_lp(t, kHealthyScenario, true);
@@ -471,19 +409,36 @@ TEST(Evaluator, ScenarioBudgetExhaustionDegradesToUnknown) {
   EXPECT_EQ(ok.deadline_hits, 0);
 }
 
-TEST(ParallelEvaluator, ScenarioBudgetExhaustionDegradesToUnknown) {
-  topo::Topology t = figure1();
-  ParallelPlanEvaluator eval(t, 2);
-  eval.set_scenario_budget(1e-9);
-  const CheckResult r = eval.check({1, 1});
-  EXPECT_FALSE(r.feasible);
-  EXPECT_EQ(r.verdict, Verdict::kUnknown);
-  EXPECT_GT(r.deadline_hits, 0);
-  eval.set_scenario_budget(0.0);
-  const CheckResult ok = eval.check({1, 1});
-  EXPECT_TRUE(ok.feasible);
-  EXPECT_EQ(ok.verdict, Verdict::kFeasible);
-  EXPECT_EQ(ok.deadline_hits, 0);
+// Regression: a stateful check that skips a quarantined scenario must
+// not move its resume point past it — otherwise a later check never
+// revisits the unproven scenario and can report kFeasible.
+TEST(Evaluator, StatefulResumeNeverSkipsPastQuarantinedScenario) {
+  topo::Topology t = topo::make_preset('A');
+  const std::vector<int> zeros(t.num_links(), 0);
+  std::vector<int> saturated(t.num_links());
+  for (int l = 0; l < t.num_links(); ++l) saturated[l] = t.link_max_units(l);
+
+  PlanEvaluator eval(t, EvaluatorMode::kStateful);
+  eval.set_quarantined({0});
+  const CheckResult first = eval.check(zeros);
+  EXPECT_FALSE(first.feasible);
+  EXPECT_EQ(first.verdict, Verdict::kInfeasible);
+  EXPECT_EQ(first.violated_scenario, 1);
+  EXPECT_EQ(first.quarantined_skipped, 1);
+
+  const CheckResult second = eval.check(saturated);
+  EXPECT_FALSE(second.feasible);
+  EXPECT_EQ(second.verdict, Verdict::kUnknown);
+  EXPECT_EQ(second.quarantined_skipped, 1);
+
+  // A fresh evaluator given the same saturated plan agrees.
+  PlanEvaluator fresh(t, EvaluatorMode::kStateful);
+  fresh.set_quarantined({0});
+  const CheckResult want = fresh.check(saturated);
+  EXPECT_EQ(second.feasible, want.feasible);
+  EXPECT_EQ(second.verdict, want.verdict);
+  EXPECT_EQ(second.quarantined_skipped, want.quarantined_skipped);
+  EXPECT_EQ(want.verdict, Verdict::kUnknown);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Watchdog tests: heartbeat scope nesting semantics, a manually
 // stalled worker flagged within the configured interval, escalation to
 // a "watchdog_stall" flight-record dump, and the acceptance scenario —
-// a parallel-plan-evaluator worker wedged by a stall fault is flagged
-// while the check still completes (stalls are symptom reports, not
+// a lockstep rollout pool worker wedged by a stall fault is flagged
+// while the epoch still completes (stalls are symptom reports, not
 // kills).
 //
 // All suites are named Watchdog* so the tsan ctest preset picks them up.
@@ -20,7 +20,7 @@
 
 #include "np_json.hpp"
 #include "obs/obs.hpp"
-#include "plan/parallel_evaluator.hpp"
+#include "rl/trainer.hpp"
 #include "topo/generator.hpp"
 #include "util/fault.hpp"
 
@@ -170,11 +170,12 @@ TEST_F(WatchdogTest, StallEscalatesToWatchdogStallDump) {
   std::remove(path.c_str());
 }
 
-// Acceptance scenario: a parallel-evaluator worker wedged mid-scenario
-// (stall fault at plan.worker) goes quiet on its heartbeat, the
-// watchdog flags it within the stall interval, and the check still
-// finishes once the wedge clears — the run is never killed.
-TEST_F(WatchdogTest, WedgedParallelEvaluatorWorkerFlagged) {
+// Acceptance scenario: a lockstep rollout worker wedged mid-step (stall
+// fault at rollout.step, inside the pool task's heartbeat scope) goes
+// quiet on its heartbeat, the watchdog flags it within the stall
+// interval, and the epoch still finishes once the wedge clears — the
+// run is never killed.
+TEST_F(WatchdogTest, WedgedRolloutPoolWorkerFlagged) {
   if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
   obs::WatchdogConfig config;
   config.stall_seconds = 0.05;
@@ -182,16 +183,26 @@ TEST_F(WatchdogTest, WedgedParallelEvaluatorWorkerFlagged) {
   const long before = obs::Watchdog::instance().stalls_flagged();
 
   const topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 2);
-  const std::vector<int> plan_units(static_cast<std::size_t>(t.num_links()), 1);
-  // First call at the site wedges that worker for well over the stall
+  rl::TrainConfig train;
+  train.env.max_units_per_step = 4;
+  train.env.max_trajectory_steps = 100;
+  train.network.gcn_layers = 2;
+  train.network.gcn_hidden = 8;
+  train.network.mlp_hidden = {16};
+  train.epochs = 1;
+  train.steps_per_epoch = 24;
+  train.chunk_steps = 24;
+  train.rollout_workers = 3;
+  rl::A2cTrainer trainer(t, train);
+  // First call at the site wedges that step for well over the stall
   // interval, then continues normally.
   util::FaultSpec spec;
   spec.nth_call = 1;
   spec.stall_ms = 400;
-  util::FaultInjector::instance().arm("plan.worker", spec);
-  const plan::CheckResult result = eval.check(plan_units);
-  EXPECT_EQ(result.scenarios_checked, eval.num_scenarios());
+  util::FaultInjector::instance().arm("rollout.step", spec);
+  const rl::EpochStats stats = trainer.run_epoch();
+  util::FaultInjector::instance().disarm_all();
+  EXPECT_EQ(stats.steps, train.steps_per_epoch);
   EXPECT_GT(obs::Watchdog::instance().stalls_flagged(), before);
 }
 

@@ -6,7 +6,7 @@
 //   neuroplan_cli plan <topo> <planner> [out.plan]     run a planner:
 //       neuroplan | ilp | ilp-heur | greedy | decomposition
 //   neuroplan_cli train <topo> <agent.ckpt> [epochs]
-//       [--rollout-workers N] [--batched-updates]      train + checkpoint an agent
+//       [--rollout-workers N]                          train + checkpoint an agent
 //       [--checkpoint-every N] [--resume <state>]      crash-safe full-state
 //                                                      snapshots -> <agent>.state
 //   neuroplan_cli report <topo> <plan-file>            operator report for a plan
@@ -29,12 +29,6 @@
 // reusable across planning cycles. NEUROPLAN_ROLLOUT_WORKERS=<K> sets
 // the rollout worker count for `plan ... neuroplan` (default 1, the
 // bit-reproducible serial path).
-//
-// NEUROPLAN_INFERENCE=fast|tape selects the acting forward path:
-// "fast" (default) uses the tape-free nn::InferenceEngine, "tape" is
-// the escape hatch back to the autodiff forwards. The two are
-// bit-identical in actions and results; the switch exists for
-// debugging and A/B timing, not correctness.
 //
 // Plans are stored one integer per line (added units per link, in link
 // order). Exit code 0 = success / feasible, 1 = failure / infeasible,
@@ -74,15 +68,12 @@ int usage() {
                "  neuroplan_cli plan <topo> <neuroplan|ilp|ilp-heur|greedy|"
                "decomposition> [out.plan]\n"
                "  neuroplan_cli train <topo> <agent.ckpt> [epochs]"
-               " [--rollout-workers N] [--batched-updates]\n"
+               " [--rollout-workers N]\n"
                "                [--checkpoint-every N] [--resume <state-file>]\n"
                "  neuroplan_cli report <topo> <plan-file>\n"
                "global flags: [--metrics-out <file.jsonl>]"
                " [--trace-out <file.json>]\n"
-               "              [--flight-record-out <file.npcrash>]\n"
-               "env: NEUROPLAN_INFERENCE=fast|tape  acting forward path\n"
-               "     (fast = tape-free inference engine, the default;\n"
-               "      tape = autodiff forwards; bit-identical results)\n");
+               "              [--flight-record-out <file.npcrash>]\n");
   return 2;
 }
 
@@ -270,8 +261,6 @@ int cmd_train(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       config.rollout_workers =
           static_cast<int>(parse_long_arg("--rollout-workers", argv[++i], 1, 4096));
-    } else if (arg == "--batched-updates") {
-      config.batched_updates = true;
     } else if (arg == "--checkpoint-every") {
       if (i + 1 >= argc) return usage();
       config.checkpoint_every = static_cast<int>(
