@@ -37,7 +37,10 @@ namespace np::bench {
 /// v6: rollout_throughput drops the inference-mode axis: one worker
 /// curve under "workers", with lp_busy_frac (LP seconds per usable
 /// thread-second) in place of lp_share; fast_vs_tape_1worker is gone.
-inline constexpr int kBenchSchemaVersion = 6;
+/// v7: lp_throughput drops the pricing-rule axis: one sparse_lu
+/// cold/warm pair per formulation, no "pricing_rules",
+/// "cold_iterations_vs_dantzig" or dense_inverse "rule".
+inline constexpr int kBenchSchemaVersion = 7;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

@@ -74,13 +74,6 @@ class BasisFactor {
   /// The triangular solves only do work on populated positions.
   void ftran_column(ColumnView a, std::vector<double>& w) const;
 
-  /// ||B^{-1} a||^2 without materializing the result for the caller —
-  /// steepest-edge pricing needs exact column norms at initialization
-  /// (and for the debug-build weight audit) but never the vector
-  /// itself. Runs the same hyper-sparse solve as ftran_column into
-  /// internal scratch.
-  double ftran_column_norm2(ColumnView a) const;
-
   /// BTRAN with a dense right-hand side: x := B^{-T} x. Input indexed
   /// by basis position, output by row.
   void btran(std::vector<double>& x) const;
@@ -147,8 +140,7 @@ class BasisFactor {
   std::vector<int> order_;            // column elimination preorder
   std::vector<int> count_start_;      // counting-sort buckets for order_
   std::vector<int> row_count_;        // Markowitz-style pivot tie-break
-  mutable std::vector<double> work_;          // dense solve scratch
-  mutable std::vector<double> norm_scratch_;  // ftran_column_norm2 result
+  mutable std::vector<double> work_;  // dense solve scratch
 };
 
 }  // namespace np::lp

@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "la/sparse_vector.hpp"
 #include "lp/factor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,15 +31,6 @@ const char* to_string(SimplexEngine engine) {
   switch (engine) {
     case SimplexEngine::kSparseLu: return "sparse-lu";
     case SimplexEngine::kDenseInverse: return "dense-inverse";
-  }
-  return "unknown";
-}
-
-const char* to_string(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig: return "dantzig";
-    case PricingRule::kDevex: return "devex";
-    case PricingRule::kSteepestEdge: return "steepest-edge";
   }
   return "unknown";
 }
@@ -82,9 +72,6 @@ class BasisEngine {
   /// Rank-one update after the basis exchange at position p, where w is
   /// the FTRAN result of the entering column.
   virtual void update(int p, const std::vector<double>& w) = 0;
-  /// ||B^{-1} a||^2 — exact steepest-edge column norm, used for the
-  /// slack-basis initialization and the debug weight audit.
-  virtual double ftran_norm2(ColumnView a) const = 0;
   /// Engine-initiated early refactorization (sparse eta-file growth).
   virtual bool prefers_refactor() const = 0;
 };
@@ -189,20 +176,12 @@ class DenseInverseEngine final : public BasisEngine {
     }
   }
 
-  double ftran_norm2(ColumnView a) const override {
-    ftran_column(a, scratch2_);
-    double norm2 = 0.0;
-    for (const double v : scratch2_) norm2 += v * v;
-    return norm2;
-  }
-
   bool prefers_refactor() const override { return false; }
 
  private:
   int m_ = 0;
   std::vector<double> binv_;
   mutable std::vector<double> scratch_;
-  mutable std::vector<double> scratch2_;  // ftran_norm2 result
 };
 
 /// Sparse LU + product-form eta file (lp/factor.hpp).
@@ -221,9 +200,6 @@ class SparseLuEngine final : public BasisEngine {
   }
   void update(int p, const std::vector<double>& w) override {
     factor_.append_eta(p, w);
-  }
-  double ftran_norm2(ColumnView a) const override {
-    return factor_.ftran_column_norm2(a);
   }
   bool prefers_refactor() const override { return factor_.prefers_refactor(); }
 
@@ -248,7 +224,6 @@ class Simplex {
     m_ = model.num_rows();
     n_real_ = n_struct_ + m_;        // structural + slacks
     n_total_ = n_real_ + m_;         // + artificials
-    pricing_ = options.pricing;
     engine_ = make_engine(options.engine);
     build_columns();
     build_bounds();
@@ -407,8 +382,7 @@ class Simplex {
   /// bound so the artificial absorbs the smallest possible residual.
   /// This is what lets phase 1 scale with the number of *violated*
   /// rows instead of all of m, and it keeps the initial basis a signed
-  /// diagonal (slack -1 / artificial +-1), which the steepest-edge
-  /// initializer exploits.
+  /// diagonal (slack -1 / artificial +-1).
   void cold_start() {
     status_.assign(n_total_, VarStatus::kAtLower);
     val_.assign(n_total_, 0.0);
@@ -650,9 +624,6 @@ class Simplex {
       basis_[p_leave] = enter;
 
       engine_->update(p_leave, w);
-      // Primal pricing weights do not track dual pivots; rebuild them
-      // lazily when (if) the primal loop runs next.
-      weights_valid_ = false;
       verified_terminal = false;
       if (++pivots_since_refactor >= options_.refactor_interval ||
           engine_->prefers_refactor()) {
@@ -694,7 +665,7 @@ class Simplex {
     return total;
   }
 
-  /// Recompute binv_ and the basic values from scratch unless nothing
+  /// Refactorize and recompute the basic values from scratch unless nothing
   /// touched them since the last factorization. Throws on a singular
   /// basis (solve() retries cold with frequent refactorization).
   void refresh_factorization() {
@@ -836,197 +807,10 @@ class Simplex {
 
   // ---- pricing ----
   //
-  // Entering-variable selection is pluggable (options.pricing). All
-  // rules maximize violation^2 / weight_j, where the violation is the
-  // reduced-cost excess past the optimality tolerance in the movable
-  // direction and the weight is rule-specific:
-  //
-  //   Dantzig        weight_j = 1 (same argmax as max |d_j|);
-  //   devex          weight_j approximates ||B^{-1} a_j||^2 against a
-  //                  reference framework (Forrest-Goldfarb), reset to
-  //                  all-ones on refactorization, invariant >= 1;
-  //   steepest edge  weight_j = gamma_j = 1 + ||B^{-1} a_j||^2 exactly,
-  //                  maintained by the recurrence below; survives
-  //                  refactorization (norms depend on the basis, not on
-  //                  how it is factorized).
-  //
-  // Per pivot (entering q at position p with FTRAN column w, pivot
-  // alpha_p = w[p], pivot row alpha_j = rho . a_j with
-  // rho = e_p^T B^{-1}):
-  //
-  //   devex:  gamma_j <- max(gamma_j, (alpha_j/alpha_p)^2 gamma_q)
-  //           gamma_r <- max(gamma_q / alpha_p^2, 1)    (leaving var r)
-  //   SE:     gamma_j <- gamma_j - 2 (alpha_j/alpha_p)(a_j . tau)
-  //                      + (alpha_j/alpha_p)^2 gamma_q
-  //           with tau = B^{-T} w (one extra BTRAN), exact
-  //           gamma_q = 1 + ||w||^2, and the provable floor
-  //           gamma_j >= 1 + (alpha_j/alpha_p)^2 clamped on;
-  //           gamma_r <- gamma_q / alpha_p^2  (>= 1 + 1/alpha_p^2).
-  //
-  // Columns with alpha_j = 0 are untouched, so both updates cost
-  // O(nnz of the rows hit by rho), hyper-sparse in the scenario LPs.
-
-  bool needs_weights() const { return pricing_ != PricingRule::kDantzig; }
-
-  double weight_for(int j) const {
-    return needs_weights() ? weight_[j] : 1.0;
-  }
-
-  /// Lazily (re)build the weight vector. Devex resets to the reference
-  /// framework (all ones). Steepest edge computes exact norms: free for
-  /// the crash basis, where every basic column is its own row's slack
-  /// or artificial so B is a signed diagonal and ||B^{-1} a_j|| =
-  /// ||a_j||; one hyper-sparse FTRAN per nonbasic column otherwise
-  /// (warm starts — which is why warm callers prefer devex or Dantzig).
-  void ensure_pricing_weights() {
-    if (!needs_weights() || weights_valid_) return;
-    Stopwatch stopwatch;
-    weight_.assign(n_total_, 1.0);
-    ++weight_resets_;
-    if (pricing_ == PricingRule::kSteepestEdge) {
-      bool signed_diagonal = true;
-      for (int r = 0; r < m_; ++r) {
-        if (basis_[r] != n_real_ + r && basis_[r] != n_struct_ + r) {
-          signed_diagonal = false;
-          break;
-        }
-      }
-      for (int j = 0; j < n_total_; ++j) {
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        if (signed_diagonal) {
-          double norm2 = 0.0;
-          for (const auto& [r, coeff] : col(j)) norm2 += coeff * coeff;
-          weight_[j] = 1.0 + norm2;
-        } else {
-          weight_[j] = 1.0 + engine_->ftran_norm2(col(j));
-        }
-      }
-    }
-    weights_valid_ = true;
-    pricing_seconds_ += stopwatch.seconds();
-  }
-
-  /// Scatter the pivot row alpha = rho^T A into alpha_ (rho = row p of
-  /// the basis inverse). Row-wise: for every row touched by rho, walk
-  /// the model row plus that row's slack and artificial columns —
-  /// O(nnz of the touched rows) instead of one dot product per column.
-  void compute_pivot_row(const std::vector<double>& rho) {
-    if (alpha_.size() != n_total_) alpha_.resize(n_total_);  // O(n) once
-    alpha_.clear();                                          // O(pattern)
-    for (int r = 0; r < m_; ++r) {
-      const double rr = rho[r];
-      if (rr == 0.0) continue;
-      for (const auto& [var, coeff] : model_.row(r).coefficients) {
-        if (coeff != 0.0) alpha_.add(var, rr * coeff);
-      }
-      alpha_.add(n_struct_ + r, -rr);  // slack: coefficient -1
-      alpha_.add(n_real_ + r,
-                 rr * col_entries_[col_start_[n_real_ + r]].second);
-    }
-  }
-
-  /// Apply the per-pivot weight recurrences (see block comment above).
-  /// Must run BEFORE the basis exchange mutates status_/basis_ and
-  /// BEFORE engine_->update: rho and tau are rows of the OLD basis
-  /// inverse. `entering` enters at position p; w is its FTRAN column.
-  void update_pricing_weights(int entering, int p,
-                              const std::vector<double>& w) {
-    const double alpha_p = w[p];
-    if (std::abs(alpha_p) < kPivotTolerance) return;
-    engine_->btran_unit(p, rho_);
-    compute_pivot_row(rho_);
-    const int leaving = basis_[p];
-    const double inv_ap2 = 1.0 / (alpha_p * alpha_p);
-    if (pricing_ == PricingRule::kDevex) {
-      const double gamma_q = std::max(weight_[entering], 1.0);
-      for (const int j : alpha_.pattern()) {
-        if (j == entering || status_[j] == VarStatus::kBasic ||
-            lb_[j] == ub_[j]) {
-          continue;
-        }
-        const double aj = alpha_[j];
-        if (aj == 0.0) continue;
-        const double candidate = aj * aj * inv_ap2 * gamma_q;
-        if (candidate > weight_[j]) weight_[j] = candidate;
-      }
-      weight_[leaving] = std::max(gamma_q * inv_ap2, 1.0);
-    } else {  // steepest edge
-      double wnorm2 = 0.0;
-      for (const double v : w) wnorm2 += v * v;
-      const double gamma_q = 1.0 + wnorm2;  // exact norm of the entering col
-      tau_ = w;
-      engine_->btran_dense(tau_);  // tau = B^{-T} w, indexed by row
-      for (const int j : alpha_.pattern()) {
-        if (j == entering || status_[j] == VarStatus::kBasic ||
-            lb_[j] == ub_[j]) {
-          continue;
-        }
-        const double aj = alpha_[j];
-        if (aj == 0.0) continue;
-        const double ratio = aj / alpha_p;
-        double dot = 0.0;
-        for (const auto& [r, coeff] : col(j)) dot += tau_[r] * coeff;
-        const double updated =
-            weight_[j] - 2.0 * ratio * dot + ratio * ratio * gamma_q;
-        weight_[j] = std::max(updated, 1.0 + ratio * ratio);
-      }
-      weight_[leaving] = std::max(gamma_q * inv_ap2, 1.0 + inv_ap2);
-    }
-    // The entering variable turns basic; park its weight at the
-    // reference floor so no stale value leaks if it later leaves the
-    // basis through a path that skips the leaving-variable formula.
-    weight_[entering] = 1.0;
-  }
-
-  /// Weight contracts (debug / sanitizer builds): devex weights never
-  /// drop below the reference floor of 1; steepest-edge weights match
-  /// an exact norm recomputation on a bounded rotating sample of
-  /// nonbasic columns. The SE tolerance is loose — it exists to catch
-  /// index/sign bugs (orders-of-magnitude errors), not to bound honest
-  /// floating-point drift between refactorizations.
-  void check_pricing_weights(const char* where) {
-#if NP_CHECKS_ENABLED
-    if (!needs_weights() || !weights_valid_) return;
-    if (pricing_ == PricingRule::kDevex) {
-      for (int j = 0; j < n_total_; ++j) {
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        NP_ASSERT(weight_[j] >= 1.0,
-                  where, ": devex weight of column ", j, " is ", weight_[j],
-                  " (must stay >= 1)");
-      }
-    } else {
-      const int sample = std::min(n_total_, 32);
-      int checked = 0;
-      for (int step = 0; step < n_total_ && checked < sample; ++step) {
-        const int j = (weight_audit_cursor_ + step) % n_total_;
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        const double exact = 1.0 + engine_->ftran_norm2(col(j));
-        NP_ASSERT(std::abs(weight_[j] - exact) <= 5e-2 * exact + 1e-6,
-                  where, ": steepest-edge weight of column ", j, " is ",
-                  weight_[j], " but the exact norm is ", exact);
-        ++checked;
-      }
-      weight_audit_cursor_ = (weight_audit_cursor_ + sample) % n_total_;
-    }
-#else
-    (void)where;
-#endif
-  }
-
-  /// Refactorization hook for the pricing state: devex resets to the
-  /// reference framework (its weights approximate against the last
-  /// reset point and degrade as the basis drifts from it); exact
-  /// steepest-edge norms are basis-dependent only and survive — they
-  /// are audited instead.
-  void on_refactorized() {
-    if (pricing_ == PricingRule::kDevex && weights_valid_) {
-      Stopwatch stopwatch;
-      std::fill(weight_.begin(), weight_.end(), 1.0);
-      ++weight_resets_;
-      pricing_seconds_ += stopwatch.seconds();
-    }
-    check_pricing_weights("Simplex::on_refactorized");
-  }
+  // Dantzig pricing: the entering column maximizes violation^2, where
+  // the violation is the reduced-cost excess past the optimality
+  // tolerance in the direction the column can move (same argmax as
+  // max |d_j|).
 
   /// Violation of column j against the current duals: reduced-cost
   /// excess past the optimality tolerance in a direction j can move.
@@ -1058,8 +842,8 @@ class Simplex {
   };
 
   /// Candidate-list entry: a column that violated optimality when last
-  /// priced, with its weighted score at that time (scores are refreshed
-  /// every iteration; the stored value only orders evictions).
+  /// priced, with its score at that time (scores are refreshed every
+  /// iteration; the stored value only orders evictions).
   struct Candidate {
     int j = 0;
     double score = 0.0;
@@ -1093,7 +877,7 @@ class Simplex {
 
     double best_score = 0.0;
     auto consider = [&](int j, double violation, int dir) {
-      const double score = violation * violation / weight_for(j);
+      const double score = violation * violation;
       if (score > best_score) {
         best_score = score;
         best.j = j;
@@ -1135,7 +919,7 @@ class Simplex {
     // every scanned shard unconditionally, so consecutive iterations
     // never rescan the same shard while others still hold candidates
     // (the seed's rotating-window bug under degenerate pricing).
-    ++heap_rebuilds_;
+    ++refills_;
     const int shard_size = std::max(64, n_total_ / 16);
     const int num_shards = (n_total_ + shard_size - 1) / shard_size;
     if (shard_cursor_ >= num_shards) shard_cursor_ = 0;
@@ -1196,7 +980,6 @@ class Simplex {
 
       compute_duals(y);
       const bool bland = degenerate_streak > 256;
-      if (!bland) ensure_pricing_weights();
       PricingChoice choice;
       {
         // Timed, not spanned: the per-solve "lp.price" trace event is
@@ -1206,10 +989,7 @@ class Simplex {
         choice = price_entering(y, bland);
         pricing_seconds_ += stopwatch.seconds();
       }
-      if (choice.j < 0) {
-        check_pricing_weights("Simplex::iterate optimal");
-        return SolveStatus::kOptimal;
-      }
+      if (choice.j < 0) return SolveStatus::kOptimal;
       const int entering = choice.j;
       const int entering_dir = choice.dir;
 
@@ -1268,20 +1048,6 @@ class Simplex {
         continue;
       }
 
-      // Weight recurrences need the OLD basis inverse (rho, tau) and
-      // the pre-exchange status_/basis_, so they run before the swap.
-      // Pivots taken under Bland's rule skip the update; devex degrades
-      // gracefully (weights stay >= 1, still an approximation) but
-      // exact steepest-edge norms are invalidated and rebuilt when
-      // regular pricing resumes.
-      if (!bland && needs_weights() && weights_valid_) {
-        Stopwatch stopwatch;
-        update_pricing_weights(entering, leaving_pos, w);
-        pricing_seconds_ += stopwatch.seconds();
-      } else if (bland && pricing_ == PricingRule::kSteepestEdge) {
-        weights_valid_ = false;
-      }
-
       const int leaving = basis_[leaving_pos];
       const double delta = entering_dir * leaving_pivot;
       status_[leaving] = delta > 0.0 ? VarStatus::kAtLower : VarStatus::kAtUpper;
@@ -1299,7 +1065,6 @@ class Simplex {
         }
         compute_basic_values();
         factor_fresh_ = true;
-        on_refactorized();
       }
     }
   }
@@ -1334,7 +1099,6 @@ class Simplex {
       status_[enter] = VarStatus::kBasic;
       basis_[p] = enter;
       engine_->update(p, w);
-      weights_valid_ = false;  // pivots the pricing loop never saw
     }
   }
 
@@ -1345,13 +1109,11 @@ class Simplex {
     solution.pricing_seconds = pricing_seconds_;
     // Pricing telemetry, accumulated locally and flushed once per solve
     // (the counters are shared atomics; per-iteration adds would put
-    // contended RMWs in the hot loop under the parallel evaluator).
+    // atomic RMWs in the hot loop).
     static obs::Counter& scanned = obs::counter("lp.pricing.candidates_scanned");
-    static obs::Counter& rebuilds = obs::counter("lp.pricing.heap_rebuilds");
-    static obs::Counter& resets = obs::counter("lp.pricing.weight_resets");
+    static obs::Counter& refills = obs::counter("lp.pricing.refills");
     if (candidates_scanned_ > 0) scanned.add(candidates_scanned_);
-    if (heap_rebuilds_ > 0) rebuilds.add(heap_rebuilds_);
-    if (weight_resets_ > 0) resets.add(weight_resets_);
+    if (refills_ > 0) refills.add(refills_);
     obs::record_aggregate_span("lp.price", pricing_seconds_ * 1e6);
     if (status == SolveStatus::kOptimal) {
       purge_artificials();
@@ -1395,24 +1157,12 @@ class Simplex {
   long iterations_ = 0;
 
   // ---- pricing state ----
-  PricingRule pricing_ = PricingRule::kDevex;
-  // True while weight_ tracks the current basis (devex: since the last
-  // reference reset; steepest edge: exact norms). Invalidated by pivots
-  // the pricing loop never sees (dual repair, artificial purging,
-  // Bland-mode pivots under steepest edge) and rebuilt lazily.
-  bool weights_valid_ = false;
-  std::vector<double> weight_;
   std::vector<Candidate> candidates_;   // partial-pricing candidate list
   std::vector<char> in_candidates_;     // column -> on candidates_?
   int shard_cursor_ = 0;                // round-robin refill position
-  int weight_audit_cursor_ = 0;         // rotating debug-audit sample
   double pricing_seconds_ = 0.0;
   long candidates_scanned_ = 0;
-  long heap_rebuilds_ = 0;
-  long weight_resets_ = 0;
-  std::vector<double> rho_;   // btran_unit scratch (pivot row of B^{-1})
-  std::vector<double> tau_;   // steepest-edge B^{-T} w scratch
-  la::ScatterVector alpha_;   // pivot row rho^T A, stamp-deduplicated
+  long refills_ = 0;                    // candidate-list refills from the shards
 
   // Computational-form matrix in flat CSC layout: column j's (row,
   // coeff) entries are col_entries_[col_start_[j] .. col_start_[j+1]).

@@ -13,11 +13,11 @@
 // FTRAN/BTRAN in O(fill), refactorization in O(fill^2)-ish — and the
 // legacy dense m x m inverse survives behind
 // SimplexOptions::engine = kDenseInverse for differential testing.
-// Entering-variable selection is a pluggable PricingRule (Dantzig /
-// devex / steepest edge) over a sharded partial-pricing candidate list
-// on large models (optimality is only declared after a full failed
-// sweep with current duals), with an automatic Bland fallback against
-// cycling; the ratio test supports bound flips.
+// Entering-variable selection is Dantzig pricing (largest reduced-cost
+// violation) over a sharded partial-pricing candidate list on large
+// models (optimality is only declared after a full failed sweep with
+// current duals), with an automatic Bland fallback against cycling;
+// the ratio test supports bound flips.
 //
 // Scale target: the NeuroPlan plan-evaluator feasibility LPs (hundreds
 // of rows, a few thousand columns) and the pruned planning ILPs solved
@@ -73,29 +73,6 @@ enum class SimplexEngine {
 
 const char* to_string(SimplexEngine engine);
 
-/// Entering-variable selection rule.
-enum class PricingRule {
-  /// Most-violated reduced cost. Cheapest per iteration, most pivots;
-  /// retained as the differential-testing reference and as the warm
-  /// default (warm solves finish in a handful of pivots, so weight
-  /// upkeep would be pure overhead).
-  kDantzig,
-  /// Devex reference-framework weights (Forrest-Goldfarb): approximate
-  /// steepest-edge at O(pivot-row nnz) per pivot, weights reset to the
-  /// reference framework on refactorization. Default — close to
-  /// steepest-edge pivot counts at a fraction of the update cost.
-  kDevex,
-  /// Exact steepest-edge norms gamma_j = 1 + ||B^{-1} a_j||^2: exact
-  /// initial norms (cheap for the cold artificial basis), recurrence
-  /// updates per pivot using the already-computed FTRAN column plus one
-  /// extra BTRAN. Fewest pivots, priciest update; norms are
-  /// basis-dependent, not factorization-dependent, so they survive
-  /// refactorization untouched.
-  kSteepestEdge,
-};
-
-const char* to_string(PricingRule rule);
-
 struct SimplexOptions {
   double feasibility_tolerance = 1e-7;
   double optimality_tolerance = 1e-7;
@@ -116,20 +93,13 @@ struct SimplexOptions {
   /// interval dominates solve time on LPs with many rows.
   int refactor_interval = 400;
   SimplexEngine engine = SimplexEngine::kSparseLu;
-  /// Entering-variable selection rule. Devex by default for cold
-  /// solves: reference-framework weights price at near-Dantzig
-  /// per-iteration cost while guarding against the textbook Dantzig
-  /// stalls on badly scaled columns. Callers doing short warm solves
-  /// (np::plan stateful checks, warm B&B dives) switch to kDantzig per
-  /// solve, where weight maintenance cannot pay for itself.
-  PricingRule pricing = PricingRule::kDevex;
   /// Sharded partial pricing on models with more than this many columns
   /// (structural + slack + artificial): a bounded candidate list of
-  /// weighted reduced costs is re-priced each iteration and refilled
+  /// violating reduced costs is re-priced each iteration and refilled
   /// round-robin from column shards when it runs thin. Optimality is
   /// only declared on an iteration whose (re-)scan covered every shard
-  /// with the current duals and found nothing — the full weighted
-  /// sweep fall-through. <= 0 disables partial pricing (every
+  /// with the current duals and found nothing — the full sweep
+  /// fall-through. <= 0 disables partial pricing (every
   /// iteration prices all columns). The default covers the scenario
   /// feasibility LPs, where a full sweep would dominate the
   /// per-iteration cost of the sparse engine.
@@ -151,9 +121,8 @@ struct Solution {
   Basis basis;             // final basis for warm starts
   long iterations = 0;
   double solve_seconds = 0.0;
-  /// Seconds spent inside entering-variable selection and pricing-
-  /// weight maintenance (subset of solve_seconds) — the bench reports
-  /// it as the pricing-time share per rule.
+  /// Seconds spent inside entering-variable selection (subset of
+  /// solve_seconds) — the bench reports it as the pricing-time share.
   double pricing_seconds = 0.0;
   StartPath start_path = StartPath::kCold;
 };

@@ -86,7 +86,9 @@ class SnapshotFuzz : public ::testing::TestWithParam<unsigned> {};
 TEST_P(SnapshotFuzz, MutatedSnapshotNeverResumesSilently) {
   const std::uint64_t seed = fuzz_seed(GetParam()) + 500009u;
   SCOPED_TRACE(::testing::Message() << "fuzz seed " << seed);
-  const std::string path = ::testing::TempDir() + "fuzz_snapshot.state";
+  // One file per seed: ctest runs the seeds as parallel processes.
+  const std::string path = ::testing::TempDir() + "fuzz_snapshot_" +
+                           std::to_string(GetParam()) + ".state";
   std::string payload = "epoch 12\nrng deadbeef 1 2 3\nparams 0\nend\n";
   payload.push_back('\0');
   payload += "binary tail \xff\x01";
