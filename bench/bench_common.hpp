@@ -40,7 +40,10 @@ namespace np::bench {
 /// v7: lp_throughput drops the pricing-rule axis: one sparse_lu
 /// cold/warm pair per formulation, no "pricing_rules",
 /// "cold_iterations_vs_dantzig" or dense_inverse "rule".
-inline constexpr int kBenchSchemaVersion = 7;
+/// v8: new train_epoch bench (BENCH_train.json: epoch/collect/update
+/// seconds as median/min/max over repeats per topology and worker count,
+/// with ad_backwards and lp_iterations).
+inline constexpr int kBenchSchemaVersion = 8;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

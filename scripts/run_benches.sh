@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run every figure-reproduction bench and record the output, then splice
-# the results into EXPERIMENTS.md.
+# the results into EXPERIMENTS.md. train_epoch also writes
+# BENCH_train.json at the repo root.
 #
 #   scripts/run_benches.sh [build-dir]
 #
@@ -21,7 +22,10 @@ for b in "$root/$build_dir"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "===== $b ====="
   echo "===== $b =====" >> "$out"
-  "$b" 2>&1 | tee -a "$out"
+  case "$(basename "$b")" in
+    train_epoch) "$b" "$root/BENCH_train.json" 2>&1 | tee -a "$out" ;;
+    *) "$b" 2>&1 | tee -a "$out" ;;
+  esac
   echo >> "$out"
 done
 

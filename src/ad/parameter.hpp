@@ -1,7 +1,8 @@
 // A trainable parameter: a matrix value plus an accumulated gradient and
 // Adam moment estimates. Parameters live outside any Tape; each forward
-// pass registers them as tape leaves and Tape::backward() accumulates
-// the leaf gradients back into Parameter::grad.
+// pass registers them as tape leaves, and Tape::backward() (or a caller
+// reducing Tape::take_leaf_grads() itself) accumulates the leaf
+// gradients back into Parameter::grad.
 #pragma once
 
 #include <string>

@@ -17,6 +17,7 @@ constexpr double kMaskedLogProb = -1e30;
 void Tape::clear() {
   nodes_.clear();
   param_leaves_.clear();
+  propagated_ = false;
 }
 
 Tensor Tape::emit(la::Matrix value, bool needs_grad,
@@ -392,16 +393,16 @@ Tensor Tape::gat_aggregate(
       });
 }
 
-void Tape::backward(Tensor root) {
+void Tape::propagate(Tensor root) {
   NP_SPAN("ad.backward");
   static obs::Counter& backwards = obs::counter("ad.backwards");
   backwards.add(1);
   Node& r = nodes_[root.index];
   if (r.value.rows() != 1 || r.value.cols() != 1) {
-    throw std::invalid_argument("Tape::backward: root must be 1x1");
+    throw std::invalid_argument("Tape::propagate: root must be 1x1");
   }
   if (!r.needs_grad) {
-    throw std::invalid_argument("Tape::backward: root does not require grad");
+    throw std::invalid_argument("Tape::propagate: root does not require grad");
   }
   // Allocate gradients lazily: only nodes that need them, only now.
   for (Node& n : nodes_) {
@@ -412,13 +413,30 @@ void Tape::backward(Tensor root) {
     Node& n = nodes_[i];
     if (n.needs_grad && n.backward_fn) n.backward_fn(*this, n);
   }
+  root_ = root.index;
+  propagated_ = true;
+}
+
+std::vector<Tape::LeafGrad> Tape::take_leaf_grads() {
+  if (!propagated_) {
+    throw std::logic_error("Tape::take_leaf_grads: no propagate() on this tape");
+  }
+  std::vector<LeafGrad> leaves;
+  leaves.reserve(param_leaves_.size());
   for (auto& [index, param] : param_leaves_) {
-    if (index <= root.index) {
+    if (index <= root_) {
       NP_CHECK_FINITE(nodes_[index].grad.data(), nodes_[index].grad.size(),
-                      "Tape::backward parameter gradient");
-      param->grad += nodes_[index].grad;
+                      "Tape::take_leaf_grads parameter gradient");
+      leaves.push_back(LeafGrad{param, std::move(nodes_[index].grad)});
     }
   }
+  propagated_ = false;
+  return leaves;
+}
+
+void Tape::backward(Tensor root) {
+  propagate(root);
+  for (LeafGrad& leaf : take_leaf_grads()) leaf.param->grad += leaf.grad;
 }
 
 }  // namespace np::ad

@@ -1,11 +1,12 @@
 // Tape-based reverse-mode automatic differentiation over la::Matrix.
 //
 // A Tape records every operation of a forward pass; Tensor is a cheap
-// handle (an index into the tape). backward(root) runs the recorded
+// handle (an index into the tape). propagate(root) runs the recorded
 // adjoint operations in reverse creation order — parents always precede
-// children on the tape, so reverse order is a valid topological order —
-// and finally accumulates gradients of registered parameters into their
-// Parameter::grad fields.
+// children on the tape, so reverse order is a valid topological order.
+// take_leaf_grads() then hands out the registered parameters' leaf
+// gradients in registration order, and backward(root) is the two
+// combined with each leaf gradient added into its Parameter::grad.
 //
 // The op set is exactly what the NeuroPlan networks need (GCN per
 // Eq. 7 of the paper + MLP actor/critic + masked categorical policy);
@@ -107,9 +108,25 @@ class Tape {
   const la::Matrix& value(Tensor t) const { return nodes_[t.index].value; }
   const la::Matrix& grad(Tensor t) const { return nodes_[t.index].grad; }
 
-  /// Reverse pass from a 1 x 1 root. Seeds d(root)=1, propagates through
-  /// the tape, then adds each parameter leaf's gradient into its
-  /// Parameter::grad. Callable once per forward pass.
+  /// One parameter leaf's gradient, moved out of the tape.
+  struct LeafGrad {
+    Parameter* param = nullptr;
+    la::Matrix grad;
+  };
+
+  /// Reverse pass from a 1 x 1 root: seeds d(root)=1 and propagates
+  /// through the tape, leaving every node's gradient on the tape.
+  /// Callable once per forward pass.
+  void propagate(Tensor root);
+
+  /// After propagate(root): move out the gradients of the parameter
+  /// leaves recorded before the root, in leaf (registration) order.
+  /// Adding them into Parameter::grad in this order is exactly the
+  /// accumulation backward() performs.
+  std::vector<LeafGrad> take_leaf_grads();
+
+  /// propagate(root), then add each parameter leaf's gradient into its
+  /// Parameter::grad in leaf order. Callable once per forward pass.
   void backward(Tensor root);
 
  private:
@@ -128,6 +145,8 @@ class Tape {
 
   std::vector<Node> nodes_;
   std::vector<std::pair<std::uint32_t, Parameter*>> param_leaves_;
+  std::uint32_t root_ = 0;  ///< root of the last propagate()
+  bool propagated_ = false;
 };
 
 }  // namespace np::ad

@@ -99,6 +99,11 @@ class RolloutWorkers {
   int workers() const { return workers_; }
   bool borrowed() const { return borrowed_env_ != nullptr; }
 
+  /// The env-stepping pool (min(K, hardware threads) - 1 workers), lent
+  /// to the trainer's update phase between collects; nullptr in
+  /// borrowed mode, where the update runs on the calling thread.
+  util::ThreadPool* pool() { return pool_.get(); }
+
   /// The tape-free engine that selects every action (bit-identical to
   /// tape forwards); nullptr before the first collect. Exposed for
   /// arena introspection in tests and benches.

@@ -1,11 +1,11 @@
 #include "rl/trainer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "nn/inference.hpp"
 #include "obs/obs.hpp"
+#include "rl/update.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
@@ -151,47 +151,8 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
                                const std::vector<double>& advantages) {
   NP_SPAN("train.update_policy");
   actor_optimizer_.zero_grad();
-  const double inv_n = 1.0 / static_cast<double>(buffer.size());
-  for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
-    const std::size_t end =
-        std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape tape;
-    std::vector<ad::Tensor> step_log_probs;
-    step_log_probs.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      step_log_probs.push_back(network_.policy_log_probs(
-          tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
-    }
-    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
-    for (std::size_t i = begin; i < end; ++i) {
-      ad::Tensor log_probs = step_log_probs[i - begin];
-      ad::Tensor logp =
-          tape.pick(log_probs, 0, static_cast<std::size_t>(buffer[i].action));
-      if (config_.ppo_clip > 0.0) {
-        // Clipped surrogate: -min(ratio*A, clip(ratio)*A). When the
-        // clipped branch is active the objective is locally constant in
-        // the parameters, so the step contributes no gradient.
-        ad::Tensor ratio = tape.exp(tape.sub(
-            logp, tape.constant(la::Matrix(1, 1, buffer[i].log_prob))));
-        const double r = tape.value(ratio)(0, 0);
-        const double clipped =
-            std::clamp(r, 1.0 - config_.ppo_clip, 1.0 + config_.ppo_clip);
-        const double adv = advantages[i];
-        if (r * adv <= clipped * adv + 1e-15) {
-          loss = tape.add(loss, tape.scale(ratio, -adv * inv_n));
-        }
-      } else {
-        // Algorithm 1's plain policy-gradient loss: -(advantage * logp).
-        loss = tape.add(loss, tape.scale(logp, -advantages[i] * inv_n));
-      }
-      if (config_.entropy_coefficient > 0.0) {
-        ad::Tensor entropy = tape.entropy_from_log_probs(log_probs);
-        loss = tape.add(loss,
-                        tape.scale(entropy, -config_.entropy_coefficient * inv_n));
-      }
-    }
-    tape.backward(loss);  // accumulates into actor + gnn parameter grads
-  }
+  accumulate_policy_gradients(network_, env_.adjacency(), buffer, advantages, config_,
+                              rollout_->pool());
   actor_optimizer_.step();
 }
 
@@ -199,24 +160,8 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
                                const std::vector<double>& rewards_to_go) {
   NP_SPAN("train.update_critic");
   critic_optimizer_.zero_grad();
-  const double inv_n = 1.0 / static_cast<double>(buffer.size());
-  for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
-    const std::size_t end =
-        std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape tape;
-    std::vector<ad::Tensor> step_values;
-    step_values.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      step_values.push_back(network_.value(tape, env_.adjacency(), buffer[i].features));
-    }
-    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
-    for (std::size_t i = begin; i < end; ++i) {
-      ad::Tensor diff = tape.sub(step_values[i - begin],
-                                 tape.constant(la::Matrix(1, 1, rewards_to_go[i])));
-      loss = tape.add(loss, tape.scale(tape.square(diff), inv_n));
-    }
-    tape.backward(loss);
-  }
+  accumulate_value_gradients(network_, env_.adjacency(), buffer, rewards_to_go, config_,
+                             rollout_->pool());
   critic_optimizer_.step();
 }
 

@@ -11,16 +11,18 @@
 //
 // Implementation note: the rollout stores compact per-step records
 // (features, mask, action, reward, value); the update phase recomputes
-// forward passes in bounded-size chunks so tape memory stays O(chunk)
-// instead of O(epoch) — gradients of a sum accumulate across chunk
-// backward passes before each Adam step.
+// each sample's forward pass on its own tape and reduces the per-sample
+// parameter gradients in sample order, a chunk at a time, before each
+// Adam step (rl/update.hpp). Update memory stays O(chunk), not O(epoch).
 //
 // Concurrency model: the trainer is single-threaded orchestration.
 // Parallelism lives below it — rollout workers own disjoint env/RNG
-// state, each env with its own evaluator and LP caches — so the
-// trainer itself holds no locks and has nothing to NP_GUARDED_BY.
-// Checkpoint save/load (checkpoint.cpp) likewise runs only between
-// epochs, when no worker is in flight.
+// state, each env with its own evaluator and LP caches, and the update
+// phase borrows the same pool between collects, with every sample
+// writing only its own gradient slot — so the trainer itself holds no
+// locks and has nothing to NP_GUARDED_BY. Checkpoint save/load
+// (checkpoint.cpp) likewise runs only between epochs, when no worker is
+// in flight.
 #pragma once
 
 #include <memory>
@@ -53,7 +55,10 @@ struct TrainConfig {
   /// > 1 stable (the paper implements its agent on the SpinningUp
   /// framework, which ships exactly this objective).
   double ppo_clip = 0.0;
-  int chunk_steps = 64;          ///< tape-memory bound for the update phase
+  /// Update-phase memory bound: samples whose gradient slots are alive
+  /// at once (each sample has its own tape; a chunk's slots are reduced
+  /// into Parameter::grad in sample order before the next chunk starts).
+  int chunk_steps = 64;
   unsigned seed = 1;
   /// Stop early after this many epochs without improving the best
   /// feasible cost (0 disables).
@@ -61,7 +66,9 @@ struct TrainConfig {
   /// Rollout workers K. 1 reuses the trainer's env/RNG and is
   /// bit-for-bit identical to the pre-threading serial trainer; K > 1
   /// runs K independent envs in lockstep (deterministic for fixed K and
-  /// seed, regardless of thread count). See rl/rollout.hpp.
+  /// seed, regardless of thread count). See rl/rollout.hpp. With
+  /// K > 1 the update phase also runs on the rollout pool, with the
+  /// same gradients as a serial update (rl/update.hpp).
   int rollout_workers = 1;
   /// Crash safety: save a full-state checkpoint to checkpoint_path
   /// every this many epochs (and again on early stop and completion).

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "ad/adam.hpp"
 #include "ad/tape.hpp"
@@ -307,6 +309,35 @@ TEST(Tape, TwoBackwardPassesOnSeparateTapesAccumulate) {
     tape.backward(tape.sum(tape.scale(tape.parameter(p), 2.0)));
   }
   EXPECT_DOUBLE_EQ(p.grad(0, 0), 3.0);
+}
+
+TEST(Tape, TakeLeafGradsHandsOutLeavesInRegistrationOrder) {
+  // propagate + take_leaf_grads is backward without the accumulation:
+  // one entry per registered leaf, in order, leaving Parameter::grad
+  // untouched; leaves recorded after the root are not handed out.
+  Parameter p("p", Matrix{{2.0}});
+  Parameter q("q", Matrix{{5.0}});
+  Tape tape;
+  EXPECT_THROW(tape.take_leaf_grads(), std::logic_error);
+  Tensor a = tape.parameter(p);
+  Tensor b = tape.parameter(q);
+  Tensor c = tape.parameter(p);
+  Tensor root = tape.sum(tape.add(tape.scale(a, 3.0), tape.hadamard(b, c)));
+  (void)tape.parameter(q);  // after the root
+  p.zero_grad();
+  q.zero_grad();
+  tape.propagate(root);
+  const std::vector<Tape::LeafGrad> leaves = tape.take_leaf_grads();
+  ASSERT_EQ(leaves.size(), 3u);
+  EXPECT_EQ(leaves[0].param, &p);
+  EXPECT_DOUBLE_EQ(leaves[0].grad(0, 0), 3.0);
+  EXPECT_EQ(leaves[1].param, &q);
+  EXPECT_DOUBLE_EQ(leaves[1].grad(0, 0), 2.0);
+  EXPECT_EQ(leaves[2].param, &p);
+  EXPECT_DOUBLE_EQ(leaves[2].grad(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(p.grad(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(q.grad(0, 0), 0.0);
+  EXPECT_THROW(tape.take_leaf_grads(), std::logic_error);  // moved out once
 }
 
 TEST(Tape, ComposedMlpGradient) {

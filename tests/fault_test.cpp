@@ -1,11 +1,14 @@
 // Fault-injection harness: trigger arithmetic is exercised in every
 // build; the throw-site integration tests (LP refactorization,
-// checkpoint I/O, rollout steps on the serial and pooled paths)
+// checkpoint I/O, rollout steps and update-phase gradient tasks on the
+// serial and pooled paths)
 // require a build with NEUROPLAN_FAULTS=ON and skip elsewhere.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "ad/snapshot.hpp"
 #include "plan/scenario_lp.hpp"
@@ -228,6 +231,29 @@ TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
   FaultInjector::instance().disarm_all();
   const rl::EpochStats stats = trainer.run_epoch();
   EXPECT_EQ(stats.steps, config.steps_per_epoch);
+}
+
+TEST_F(FaultTest, UpdateTaskFaultPropagatesAndTrainerRecovers) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  // K = 1 runs the update's sample tasks on the calling thread; K = 3
+  // runs them on the rollout pool it lends the update phase.
+  for (int workers : {1, 3}) {
+    rl::TrainConfig config = rollout_fault_config();
+    config.rollout_workers = workers;
+    rl::A2cTrainer trainer(t, config);
+    FaultInjector& injector = FaultInjector::instance();
+    // The 64-step epoch has 128 sample tasks; fail one mid-way.
+    injector.arm("train.update", FaultSpec{0.0, 40});
+    EXPECT_THROW(trainer.run_epoch(), InjectedFault) << workers << " workers";
+    EXPECT_EQ(injector.triggered("train.update"), 1);
+    // No task is still running: the site sees no further calls.
+    const long calls = injector.calls("train.update");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(injector.calls("train.update"), calls) << workers << " workers";
+    injector.disarm_all();
+    EXPECT_EQ(trainer.run_epoch().steps, config.steps_per_epoch) << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -3,14 +3,21 @@
 // on random behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
+#include "core/neuroplan.hpp"
+#include "obs/metrics.hpp"
 #include "rl/env.hpp"
 #include "rl/gae.hpp"
 #include "rl/history.hpp"
+#include "rl/rollout.hpp"
 #include "rl/trainer.hpp"
+#include "rl/update.hpp"
 #include "topo/generator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace np::rl {
 namespace {
@@ -430,6 +437,187 @@ TEST(Trainer, WorksWithoutGnn) {
   c.epochs = 2;
   A2cTrainer trainer(t, c);
   EXPECT_NO_THROW(trainer.train());
+}
+
+// ---- update phase: per-sample tapes vs the chunk-tape oracle ----
+
+/// The update phase as one tape per chunk computed it: every sample's
+/// forward on the chunk's tape, the summed loss, one backward. Kept
+/// here as the oracle the per-sample tapes must reproduce bit for bit.
+void oracle_policy_gradients(nn::ActorCritic& network,
+                             const std::shared_ptr<const la::CsrMatrix>& adjacency,
+                             const std::vector<StepRecord>& buffer,
+                             const std::vector<double>& advantages,
+                             const TrainConfig& config) {
+  const double inv_n = 1.0 / static_cast<double>(buffer.size());
+  for (std::size_t begin = 0; begin < buffer.size(); begin += config.chunk_steps) {
+    const std::size_t end =
+        std::min(buffer.size(), begin + static_cast<std::size_t>(config.chunk_steps));
+    ad::Tape tape;
+    std::vector<ad::Tensor> step_log_probs;
+    for (std::size_t i = begin; i < end; ++i) {
+      step_log_probs.push_back(network.policy_log_probs(
+          tape, adjacency, buffer[i].features, buffer[i].mask));
+    }
+    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
+    for (std::size_t i = begin; i < end; ++i) {
+      ad::Tensor log_probs = step_log_probs[i - begin];
+      ad::Tensor logp =
+          tape.pick(log_probs, 0, static_cast<std::size_t>(buffer[i].action));
+      if (config.ppo_clip > 0.0) {
+        ad::Tensor ratio = tape.exp(tape.sub(
+            logp, tape.constant(la::Matrix(1, 1, buffer[i].log_prob))));
+        const double r = tape.value(ratio)(0, 0);
+        const double clipped =
+            std::clamp(r, 1.0 - config.ppo_clip, 1.0 + config.ppo_clip);
+        const double adv = advantages[i];
+        if (r * adv <= clipped * adv + 1e-15) {
+          loss = tape.add(loss, tape.scale(ratio, -adv * inv_n));
+        }
+      } else {
+        loss = tape.add(loss, tape.scale(logp, -advantages[i] * inv_n));
+      }
+      if (config.entropy_coefficient > 0.0) {
+        ad::Tensor entropy = tape.entropy_from_log_probs(log_probs);
+        loss = tape.add(loss,
+                        tape.scale(entropy, -config.entropy_coefficient * inv_n));
+      }
+    }
+    tape.backward(loss);
+  }
+}
+
+void oracle_value_gradients(nn::ActorCritic& network,
+                            const std::shared_ptr<const la::CsrMatrix>& adjacency,
+                            const std::vector<StepRecord>& buffer,
+                            const std::vector<double>& rewards_to_go,
+                            const TrainConfig& config) {
+  const double inv_n = 1.0 / static_cast<double>(buffer.size());
+  for (std::size_t begin = 0; begin < buffer.size(); begin += config.chunk_steps) {
+    const std::size_t end =
+        std::min(buffer.size(), begin + static_cast<std::size_t>(config.chunk_steps));
+    ad::Tape tape;
+    std::vector<ad::Tensor> step_values;
+    for (std::size_t i = begin; i < end; ++i) {
+      step_values.push_back(network.value(tape, adjacency, buffer[i].features));
+    }
+    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
+    for (std::size_t i = begin; i < end; ++i) {
+      ad::Tensor diff = tape.sub(step_values[i - begin],
+                                 tape.constant(la::Matrix(1, 1, rewards_to_go[i])));
+      loss = tape.add(loss, tape.scale(tape.square(diff), inv_n));
+    }
+    tape.backward(loss);
+  }
+}
+
+/// Every parameter's gradient, in all_parameters() order; zeroes them.
+std::vector<la::Matrix> take_grads(nn::ActorCritic& network) {
+  std::vector<la::Matrix> grads;
+  for (ad::Parameter* p : network.all_parameters()) {
+    grads.push_back(p->grad);
+    p->zero_grad();
+  }
+  return grads;
+}
+
+void expect_bitwise_equal(const std::vector<la::Matrix>& got,
+                          const std::vector<la::Matrix>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].size(), want[k].size()) << what << " parameter " << k;
+    EXPECT_EQ(std::memcmp(got[k].data(), want[k].data(), got[k].size() * sizeof(double)), 0)
+        << what << " parameter " << k;
+  }
+}
+
+TEST(Trainer, ParallelUpdateMatchesChunkTapeOracle) {
+  const topo::Topology t = small_topology();
+  for (nn::GnnType gnn : {nn::GnnType::kGcn, nn::GnnType::kGat}) {
+    for (bool ppo : {false, true}) {
+      for (bool entropy : {false, true}) {
+        TrainConfig c = smoke_config();
+        c.network.gnn_type = gnn;
+        c.chunk_steps = 7;  // ragged last chunk
+        c.ppo_clip = ppo ? 0.2 : 0.0;
+        c.entropy_coefficient = entropy ? 0.05 : 0.0;
+        A2cTrainer trainer(t, c);
+        nn::ActorCritic& network = trainer.network();
+        const auto adjacency = trainer.env().adjacency();
+        // One fixed epoch buffer, collected with the trainer's network.
+        Rng rng(11);
+        RolloutWorkers rollout(trainer.env(), rng, network);
+        std::vector<StepRecord> buffer = std::move(rollout.collect(40)[0].records);
+        std::vector<double> rewards, values;
+        std::vector<bool> terminal;
+        for (std::size_t i = 0; i < buffer.size(); ++i) {
+          rewards.push_back(buffer[i].reward);
+          values.push_back(buffer[i].value);
+          terminal.push_back(buffer[i].terminal);
+          // Move the behavior log-probs off the current policy so the
+          // PPO ratio takes both branches (every third sample stays on it,
+          // so no chunk is clipped throughout).
+          buffer[i].log_prob += i % 3 == 0 ? 0.4 : (i % 3 == 1 ? -0.4 : 0.0);
+        }
+        GaeResult gae = compute_gae(rewards, values, terminal, 0.0, c.gae);
+        normalize_advantages(gae.advantages);
+
+        const std::string what = std::string(gnn == nn::GnnType::kGat ? "gat" : "gcn") +
+                                 (ppo ? " ppo" : " pg") + (entropy ? " entropy" : "");
+        take_grads(network);
+        oracle_policy_gradients(network, adjacency, buffer, gae.advantages, c);
+        const std::vector<la::Matrix> want_policy = take_grads(network);
+        oracle_value_gradients(network, adjacency, buffer, gae.rewards_to_go, c);
+        const std::vector<la::Matrix> want_value = take_grads(network);
+
+        util::ThreadPool pool0(0), pool1(1), pool3(3);
+        for (util::ThreadPool* pool :
+             std::vector<util::ThreadPool*>{nullptr, &pool0, &pool1, &pool3}) {
+          const std::string label =
+              what + " pool " + (pool ? std::to_string(pool->workers()) : "none");
+          accumulate_policy_gradients(network, adjacency, buffer, gae.advantages, c, pool);
+          expect_bitwise_equal(take_grads(network), want_policy, label + " policy");
+          accumulate_value_gradients(network, adjacency, buffer, gae.rewards_to_go, c,
+                                     pool);
+          expect_bitwise_equal(take_grads(network), want_value, label + " value");
+        }
+      }
+    }
+  }
+}
+
+TEST(Trainer, AllClippedPpoSamplesContributeNoGradient) {
+  // A PPO update without the entropy bonus where every sample of a chunk
+  // takes the clipped branch has no gradient-carrying term; the chunk
+  // must add nothing instead of failing the backward pass.
+  const topo::Topology t = topo::make_preset('A');
+  TrainConfig c = core::default_train_config(t, 1);
+  c.chunk_steps = 1;
+  c.update_iterations = 2;
+  c.ppo_clip = 1e-9;
+  c.entropy_coefficient = 0.0;
+  A2cTrainer trainer(t, c);
+  EpochStats stats;
+  ASSERT_NO_THROW(stats = trainer.run_epoch());
+  EXPECT_EQ(stats.steps, c.steps_per_epoch);
+
+  // Directly: a buffer clipped throughout leaves every gradient zero
+  // and runs no backward pass.
+  nn::ActorCritic& network = trainer.network();
+  Rng rng(3);
+  RolloutWorkers rollout(trainer.env(), rng, network);
+  std::vector<StepRecord> buffer = std::move(rollout.collect(16)[0].records);
+  for (StepRecord& record : buffer) record.log_prob -= 1.0;  // ratio e > 1 + clip
+  const std::vector<double> advantages(buffer.size(), 1.0);
+  take_grads(network);
+  const long backwards_before = obs::counter("ad.backwards").value();
+  util::ThreadPool pool(1);
+  accumulate_policy_gradients(network, trainer.env().adjacency(), buffer, advantages, c,
+                              &pool);
+  EXPECT_EQ(obs::counter("ad.backwards").value(), backwards_before);
+  for (const la::Matrix& grad : take_grads(network)) {
+    for (std::size_t k = 0; k < grad.size(); ++k) EXPECT_EQ(grad.data()[k], 0.0);
+  }
 }
 
 }  // namespace
