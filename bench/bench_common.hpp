@@ -43,7 +43,10 @@ namespace np::bench {
 /// v8: new train_epoch bench (BENCH_train.json: epoch/collect/update
 /// seconds as median/min/max over repeats per topology and worker count,
 /// with ad_backwards and lp_iterations).
-inline constexpr int kBenchSchemaVersion = 8;
+/// v9: train_epoch rows split the update into update_forward_s and
+/// update_backward_s, thread-seconds summed over the update pool (named
+/// in "thread_seconds_fields"; they can exceed update_s on a pool).
+inline constexpr int kBenchSchemaVersion = 9;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

@@ -11,11 +11,13 @@
 // `update_threads` is min(workers, hardware threads) for workers > 1
 // and 1 in the borrowed K = 1 mode.
 //
-// Per row: median/min/max of epoch, collect and update seconds, plus
-// ad.backwards and lp.iterations over the measured epoch. Those two are
-// deterministic for a fixed (seed, workers); the bench fails when a
-// repeat disagrees, since its timings would then not measure the same
-// work.
+// Per row: median/min/max of epoch, collect and update seconds (wall),
+// of update_forward_s and update_backward_s (the update's tape forwards
+// and reverse passes, in thread-seconds summed over the update pool, so
+// on a pool they exceed update_s), plus ad.backwards and lp.iterations
+// over the measured epoch. Those two are deterministic for a fixed
+// (seed, workers); the bench fails when a repeat disagrees, since its
+// timings would then not measure the same work.
 //
 // Knobs: NEUROPLAN_TOPOS (default "ABC"), NEUROPLAN_SEED (default 7).
 #include <algorithm>
@@ -53,6 +55,7 @@ struct Row {
   int workers = 1;
   int update_threads = 1;
   Spread epoch_s, collect_s, update_s;
+  Spread update_forward_s, update_backward_s;  ///< thread-seconds
   long ad_backwards = 0;
   long lp_iterations = 0;
   bool deterministic = true;
@@ -66,7 +69,7 @@ Row measure(const topo::Topology& topology, int workers, unsigned seed) {
   obs::Counter& backwards = obs::counter("ad.backwards");
   obs::Counter& lp_iterations = obs::counter("lp.iterations");
   obs::Gauge& update_seconds = obs::gauge("train.update_seconds");
-  std::vector<double> epoch_s, collect_s, update_s;
+  std::vector<double> epoch_s, collect_s, update_s, update_forward_s, update_backward_s;
   for (int r = 0; r < kRepeats; ++r) {
     rl::TrainConfig config = core::default_train_config(topology, seed);
     config.rollout_workers = workers;
@@ -78,6 +81,8 @@ Row measure(const topo::Topology& topology, int workers, unsigned seed) {
     epoch_s.push_back(stats.seconds);
     collect_s.push_back(stats.rollout_seconds);
     update_s.push_back(update_seconds.value());
+    update_forward_s.push_back(stats.update_forward_seconds);
+    update_backward_s.push_back(stats.update_backward_seconds);
     const long b = backwards.value() - backwards_before;
     const long it = lp_iterations.value() - iterations_before;
     if (r > 0 && (b != row.ad_backwards || it != row.lp_iterations)) {
@@ -89,6 +94,8 @@ Row measure(const topo::Topology& topology, int workers, unsigned seed) {
   row.epoch_s = spread(epoch_s);
   row.collect_s = spread(collect_s);
   row.update_s = spread(update_s);
+  row.update_forward_s = spread(update_forward_s);
+  row.update_backward_s = spread(update_backward_s);
   return row;
 }
 
@@ -124,10 +131,12 @@ int main(int argc, char** argv) {
       const Row& row = t.rows.back();
       deterministic = deterministic && row.deterministic;
       std::printf("%c workers %d (update threads %d): epoch %.3f s [%.3f, %.3f]  "
-                  "collect %.3f s  update %.3f s  ad.backwards %ld  lp.iterations %ld%s\n",
+                  "collect %.3f s  update %.3f s (forward %.3f + backward %.3f "
+                  "thread-s)  ad.backwards %ld  lp.iterations %ld%s\n",
                   preset, workers, row.update_threads, row.epoch_s.median,
                   row.epoch_s.min, row.epoch_s.max, row.collect_s.median,
-                  row.update_s.median, row.ad_backwards, row.lp_iterations,
+                  row.update_s.median, row.update_forward_s.median,
+                  row.update_backward_s.median, row.ad_backwards, row.lp_iterations,
                   row.deterministic ? "" : "  COUNTERS DIFFER ACROSS REPEATS");
     }
     std::printf("%c epoch speedup 4 vs 1: %.2fx (on %d hardware threads)\n", preset,
@@ -148,6 +157,8 @@ int main(int argc, char** argv) {
                "  \"benchmark\": \"train_epoch\",\n"
                "  \"seed\": %u,\n"
                "  \"repeats\": %d,\n"
+               "  \"thread_seconds_fields\": [\"update_forward_s\", "
+               "\"update_backward_s\"],\n"
                "  \"topologies\": [\n",
                seed, kRepeats);
   for (std::size_t t = 0; t < results.size(); ++t) {
@@ -165,6 +176,8 @@ int main(int argc, char** argv) {
       print_spread(out, "epoch_s", row.epoch_s, ", ");
       print_spread(out, "collect_s", row.collect_s, ", ");
       print_spread(out, "update_s", row.update_s, ", ");
+      print_spread(out, "update_forward_s", row.update_forward_s, ", ");
+      print_spread(out, "update_backward_s", row.update_backward_s, ", ");
       std::fprintf(out, "\"ad_backwards\": %ld, \"lp_iterations\": %ld}%s\n",
                    row.ad_backwards, row.lp_iterations,
                    i + 1 < tr.rows.size() ? "," : "");

@@ -1,4 +1,4 @@
-// Tape-based reverse-mode automatic differentiation over la::Matrix.
+// Tape-based reverse-mode automatic differentiation over dense matrices.
 //
 // A Tape records every operation of a forward pass; Tensor is a cheap
 // handle (an index into the tape). propagate(root) runs the recorded
@@ -8,17 +8,30 @@
 // gradients in registration order, and backward(root) is the two
 // combined with each leaf gradient added into its Parameter::grad.
 //
+// Storage: node values and gradients live in the tape's la::Arena, and
+// clear() rewinds it, so a tape reused across same-shaped passes stops
+// allocating after the first. Parameter leaves reference
+// Parameter::value in place instead of copying it. Every Tensor, value()
+// and grad() view is valid until the next clear() (or the tape's
+// destruction), and a Parameter registered on a tape must not change
+// while that tape is alive or until its next clear().
+//
+// Matmul forward and backward run on la::kernels (GEMM, and the
+// accumulating aᵀ·g and g·bᵀ kernels that read their operands in
+// place), keeping the kernels' ascending-order rule: results are
+// bit-identical to a naive triple loop.
+//
 // The op set is exactly what the NeuroPlan networks need (GCN per
 // Eq. 7 of the paper + MLP actor/critic + masked categorical policy);
 // each op's gradient is verified against finite differences in tests.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "ad/parameter.hpp"
+#include "la/arena.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
 
@@ -41,17 +54,19 @@ class Tape {
   /// Number of recorded nodes.
   std::size_t size() const { return nodes_.size(); }
 
-  /// Drop all recorded nodes (start a fresh forward pass).
+  /// Drop all recorded nodes and rewind the arena, keeping its capacity
+  /// (start a fresh forward pass). Invalidates every Tensor and view.
   void clear();
 
   // ---- graph inputs ----
 
-  /// Record a constant (no gradient flows into it).
-  Tensor constant(la::Matrix value);
+  /// Record a constant, copied onto the tape (no gradient flows into it).
+  Tensor constant(const la::Matrix& value);
 
-  /// Record a trainable parameter as a leaf. The same Parameter may be
-  /// registered many times per tape (e.g. once per RL step); backward()
-  /// sums all contributions into param.grad.
+  /// Record a trainable parameter as a leaf that references param.value
+  /// (not a copy): it must not change until clear(). The same Parameter
+  /// may be registered many times per tape (e.g. once per RL step);
+  /// backward() sums all contributions into param.grad.
   Tensor parameter(Parameter& param);
 
   // ---- elementwise / structural ops ----
@@ -104,47 +119,99 @@ class Tape {
                        std::shared_ptr<const std::vector<std::vector<int>>> neighbors,
                        double leaky_slope = 0.2);
 
-  // ---- access ----
-  const la::Matrix& value(Tensor t) const { return nodes_[t.index].value; }
-  const la::Matrix& grad(Tensor t) const { return nodes_[t.index].grad; }
+  // ---- access (views valid until clear()) ----
+  la::MatrixView value(Tensor t) const {
+    const Node& n = nodes_[t.index];
+    return la::MatrixView(n.value, n.rows, n.cols);
+  }
+  /// The node's gradient after propagate(); empty for nodes that carry
+  /// none (constants, nodes past the root, before any propagate()).
+  la::MatrixView grad(Tensor t) const {
+    const Node& n = nodes_[t.index];
+    return n.grad == nullptr ? la::MatrixView() : la::MatrixView(n.grad, n.rows, n.cols);
+  }
 
-  /// One parameter leaf's gradient, moved out of the tape.
+  /// One parameter leaf's gradient, copied out of the tape.
   struct LeafGrad {
     Parameter* param = nullptr;
     la::Matrix grad;
   };
 
   /// Reverse pass from a 1 x 1 root: seeds d(root)=1 and propagates
-  /// through the tape, leaving every node's gradient on the tape.
-  /// Callable once per forward pass.
+  /// through the tape, leaving the gradient of every node up to the
+  /// root on the tape. Callable once per forward pass. Throws
+  /// std::out_of_range for a root that is not on this tape (e.g. a
+  /// Tensor kept from before clear()).
   void propagate(Tensor root);
 
-  /// After propagate(root): move out the gradients of the parameter
-  /// leaves recorded before the root, in leaf (registration) order.
-  /// Adding them into Parameter::grad in this order is exactly the
-  /// accumulation backward() performs.
-  std::vector<LeafGrad> take_leaf_grads();
+  /// After propagate(root): copy the gradients of the parameter leaves
+  /// recorded before the root into `out`, in leaf (registration) order.
+  /// `out` is resized to the leaf count and its matrices are reused
+  /// when their shapes already match, so a slot refilled every pass
+  /// stops allocating. Adding them into Parameter::grad in this order
+  /// is exactly the accumulation backward() performs. Callable once per
+  /// propagate().
+  void take_leaf_grads(std::vector<LeafGrad>& out);
 
   /// propagate(root), then add each parameter leaf's gradient into its
   /// Parameter::grad in leaf order. Callable once per forward pass.
   void backward(Tensor root);
 
+  /// Heap allocations the tape's arena has made; stable across passes
+  /// once the arena has grown to the largest pass (tests assert this).
+  long arena_reallocations() const { return arena_.reallocations(); }
+
  private:
-  struct Node {
-    la::Matrix value;
-    la::Matrix grad;
-    // Adjoint: given this node's grad, scatter into parents' grads.
-    std::function<void(Tape&, const Node&)> backward_fn;
-    bool needs_grad = false;
+  enum class Op : std::uint8_t {
+    kLeaf,
+    kAdd,
+    kSub,
+    kScale,
+    kHadamard,
+    kRelu,
+    kSquare,
+    kExp,
+    kMatmul,
+    kSpmm,
+    kAddRowBroadcast,
+    kMeanRows,
+    kFlatten,
+    kSum,
+    kPick,
+    kMaskedLogSoftmax,
+    kEntropy,
+    kGatAggregate,
   };
 
-  Tensor emit(la::Matrix value, bool needs_grad,
-              std::function<void(Tape&, const Node&)> backward_fn);
-  Node& node(Tensor t) { return nodes_[t.index]; }
-  la::Matrix& grad_ref(std::uint32_t index) { return nodes_[index].grad; }
+  struct Node {
+    const double* value = nullptr;  ///< arena, or Parameter::value for a leaf
+    double* grad = nullptr;         ///< arena; set by propagate() when needed
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    Op op = Op::kLeaf;
+    bool needs_grad = false;
+    std::uint32_t a = 0, b = 0, c = 0;  ///< parent node indices
+    double scalar = 0.0;     ///< scale factor, 1/rows (mean), leaky slope (GAT)
+    std::size_t entry = 0;   ///< flat index (pick)
+    const void* aux = nullptr;       ///< CSR lhs (spmm), neighbor lists (GAT), mask
+    const double* cache = nullptr;   ///< probabilities (softmax), attention (GAT)
+  };
 
+  /// Append a node whose value the caller has written into `value`.
+  Tensor emit(Node node);
+  static Node make(Op op, const double* value, std::size_t rows, std::size_t cols,
+                   bool needs_grad);
+  const Node& node(Tensor t) const { return nodes_[t.index]; }
+  /// Arena storage for `count` doubles (contents indeterminate).
+  double* alloc(std::size_t count) { return arena_.alloc_doubles(count); }
+  /// Run node `n`'s adjoint: scatter its gradient into its parents'.
+  void backward_node(const Node& n);
+
+  la::Arena arena_;
   std::vector<Node> nodes_;
   std::vector<std::pair<std::uint32_t, Parameter*>> param_leaves_;
+  /// Shared operands that nodes point at (adjacency, GAT neighbor lists).
+  std::vector<std::shared_ptr<const void>> keep_alive_;
   std::uint32_t root_ = 0;  ///< root of the last propagate()
   bool propagated_ = false;
 };

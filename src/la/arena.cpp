@@ -22,7 +22,7 @@ void Arena::add_chunk(std::size_t bytes) {
   // alignof(max_align_t), so allocate slack and round the base up in
   // alloc_aligned (the stored pointer is the raw allocation).
   chunk.size = align_up(bytes) + kAlignment;
-  chunk.data = std::make_unique<std::uint8_t[]>(chunk.size);
+  chunk.data = std::make_unique_for_overwrite<std::uint8_t[]>(chunk.size);
   capacity_ += chunk.size;
   ++reallocations_;
   chunks_.push_back(std::move(chunk));

@@ -1,14 +1,18 @@
-// Inference kernels: raw-pointer, allocation-free building blocks for
-// the tape-free forward path (nn::InferenceEngine).
+// Dense and sparse kernels: raw-pointer, allocation-free building
+// blocks for the tape (ad::Tape forward and backward) and the tape-free
+// forward path (nn::InferenceEngine). la::Matrix::matmul is matmul().
 //
-// Every kernel accumulates each output element over its reduction
-// dimension in strictly ascending order — the same order la::Matrix
-// and ad::Tape use — so a fast-path forward is BIT-IDENTICAL to the
-// tape forward it replaces (the determinism suite relies on this; see
-// docs/INTERNALS.md §8). Speed comes from register blocking (4 output
-// rows share every B-panel load), cache tiling of the k/j loops,
-// row-chunked CSR SpMM, and fused bias+activation epilogues — not from
-// reassociating sums.
+// Ordering rule: every output element is 0.0 plus its reduction terms
+// added one at a time in strictly ascending reduction index, and an
+// accumulating kernel adds that finished sum into its target exactly
+// once. That is the order of a naive i-k-j triple loop into a zeroed
+// temporary followed by `target += temporary`, so the tape, the
+// inference engine and any naive reference agree BITWISE (the
+// determinism suite relies on this; see docs/INTERNALS.md §4 and §8).
+// Speed comes from register tiling (a 4-row block of a 4-column strip
+// stays in registers for its whole reduction; vector lanes span output
+// columns, never one element's partial sums), row-chunked CSR SpMM and
+// fused bias+activation epilogues — not from reassociating sums.
 //
 // All outputs are caller-allocated (typically from an la::Arena);
 // kernels never touch the heap.
@@ -24,9 +28,22 @@ namespace np::la::kernels {
 enum class Activation { kNone, kRelu };
 
 /// out (n x m) = a (n x k) @ b (k x m), all row-major. `out` need not
-/// be initialized. Bit-identical to la::Matrix::matmul.
+/// be initialized and must not overlap the operands.
 void matmul(const double* a, std::size_t n, std::size_t k, const double* b,
             std::size_t m, double* out);
+
+/// grad (k x m) += aᵀ @ g, with a (n x k) and g (n x m) read in place
+/// (the weight gradient of out = a @ w). Each aᵀ @ g element is summed
+/// over ascending n, then added into grad once.
+void accumulate_at_b(const double* a, std::size_t n, std::size_t k, const double* g,
+                     std::size_t m, double* grad);
+
+/// grad (n x k) += g @ bᵀ, with g (n x m) and b (k x m) read in place
+/// (the input gradient of out = x @ b). Each g @ bᵀ element is summed
+/// over ascending m, then added into grad once. `panel` is scratch for
+/// at least 4 * m doubles.
+void accumulate_a_bt(const double* g, std::size_t n, std::size_t m, const double* b,
+                     std::size_t k, double* grad, double* panel);
 
 /// Fused linear layer: out = act(a @ b + bias), with `bias` a length-m
 /// row (nullptr = no bias). The epilogue applies bias then activation
@@ -35,9 +52,15 @@ void matmul_bias_act(const double* a, std::size_t n, std::size_t k,
                      const double* b, std::size_t m, const double* bias,
                      Activation act, double* out);
 
-/// out (rows x cols) = A (rows x ?) @ x, row-chunked CSR SpMM.
-/// Bit-identical to CsrMatrix::multiply (per-row nnz order ascending).
+/// out (a.rows() x cols) = a @ x, row-chunked CSR SpMM (per-row nnz
+/// order ascending). CsrMatrix::multiply is this kernel.
 void spmm(const CsrMatrix& a, const double* x, std::size_t cols, double* out);
+
+/// out (a.cols() x cols) = aᵀ @ x without materializing aᵀ: rows of a
+/// in ascending order scatter into out. CsrMatrix::multiply_transposed
+/// is this kernel.
+void spmm_transposed(const CsrMatrix& a, const double* x, std::size_t cols,
+                     double* out);
 
 /// Elementwise max(x + bias, 0) over `n` rows of width `m` (the GCN
 /// layer epilogue when the product came from spmm-then-matmul).

@@ -106,6 +106,32 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Read-only rows x cols row-major window onto doubles owned elsewhere
+/// (a tape's arena, a parameter's Matrix). Valid only as long as that
+/// storage.
+class MatrixView {
+ public:
+  MatrixView() = default;
+  MatrixView(const double* data, std::size_t rows, std::size_t cols)
+      : data_(data), rows_(rows), cols_(cols) {}
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  std::size_t size() const { return rows_ * cols_; }
+  const double* data() const { return data_; }
+  double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
+
+  bool has_non_finite() const;
+
+  /// Same shape and element-wise == entries, as Matrix::operator==.
+  bool operator==(const Matrix& other) const;
+
+ private:
+  const double* data_ = nullptr;
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+};
+
 /// max |a - b| over entries; requires same shape.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 

@@ -108,8 +108,10 @@ EpochStats A2cTrainer::run_epoch() {
   {
     NP_SPAN("train.update");
     for (int it = 0; it < std::max(1, config_.update_iterations); ++it) {
-      update_policy(buffer, advantages);
-      update_critic(buffer, rewards_to_go);
+      const UpdateTimes policy = update_policy(buffer, advantages);
+      const UpdateTimes critic = update_critic(buffer, rewards_to_go);
+      stats.update_forward_seconds += policy.forward_seconds + critic.forward_seconds;
+      stats.update_backward_seconds += policy.backward_seconds + critic.backward_seconds;
     }
   }
   const double update_seconds = update_watch.seconds();
@@ -147,22 +149,24 @@ EpochStats A2cTrainer::run_epoch() {
   return stats;
 }
 
-void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
-                               const std::vector<double>& advantages) {
+UpdateTimes A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
+                                      const std::vector<double>& advantages) {
   NP_SPAN("train.update_policy");
   actor_optimizer_.zero_grad();
-  accumulate_policy_gradients(network_, env_.adjacency(), buffer, advantages, config_,
-                              rollout_->pool());
+  const UpdateTimes times = accumulate_policy_gradients(
+      network_, env_.adjacency(), buffer, advantages, config_, rollout_->pool());
   actor_optimizer_.step();
+  return times;
 }
 
-void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
-                               const std::vector<double>& rewards_to_go) {
+UpdateTimes A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
+                                      const std::vector<double>& rewards_to_go) {
   NP_SPAN("train.update_critic");
   critic_optimizer_.zero_grad();
-  accumulate_value_gradients(network_, env_.adjacency(), buffer, rewards_to_go, config_,
-                             rollout_->pool());
+  const UpdateTimes times = accumulate_value_gradients(
+      network_, env_.adjacency(), buffer, rewards_to_go, config_, rollout_->pool());
   critic_optimizer_.step();
+  return times;
 }
 
 nn::InferenceEngine& A2cTrainer::acting_engine() {

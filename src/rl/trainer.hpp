@@ -78,6 +78,14 @@ struct TrainConfig {
   std::string checkpoint_path;
 };
 
+/// Where one gradient accumulation (rl/update.hpp) spent its time, in
+/// thread-seconds summed over the pool's participants, so the sum can
+/// exceed the update's wall time.
+struct UpdateTimes {
+  double forward_seconds = 0.0;   ///< recording sample losses on the tape
+  double backward_seconds = 0.0;  ///< propagate() plus copying leaf gradients out
+};
+
 struct EpochStats {
   int epoch = 0;
   int steps = 0;
@@ -88,6 +96,10 @@ struct EpochStats {
   double best_cost_so_far = 0.0;     ///< cheapest feasible plan since start (inf if none)
   double seconds = 0.0;
   double rollout_seconds = 0.0;      ///< time spent collecting the epoch buffer
+  /// Update-phase tape forwards and backwards, in thread-seconds summed
+  /// over the pool (they add up to more than the update's wall time).
+  double update_forward_seconds = 0.0;
+  double update_backward_seconds = 0.0;
 };
 
 class A2cTrainer {
@@ -150,10 +162,10 @@ class A2cTrainer {
   const TrainConfig& config() const { return config_; }
 
  private:
-  void update_policy(const std::vector<StepRecord>& buffer,
-                     const std::vector<double>& advantages);
-  void update_critic(const std::vector<StepRecord>& buffer,
-                     const std::vector<double>& rewards_to_go);
+  UpdateTimes update_policy(const std::vector<StepRecord>& buffer,
+                            const std::vector<double>& advantages);
+  UpdateTimes update_critic(const std::vector<StepRecord>& buffer,
+                            const std::vector<double>& rewards_to_go);
   /// Tape-free engine for evaluate_policy/greedy_rollout action
   /// selection. Re-snapshots the current weights on every call.
   nn::InferenceEngine& acting_engine();

@@ -9,40 +9,56 @@
 #include "ad/tape.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
+#include "util/stopwatch.hpp"
 
 namespace np::rl {
 
 namespace {
 
-/// Records sample i's loss on a fresh tape; nullopt when no term of it
-/// carries a gradient.
+/// Records sample i's loss on the given (cleared) tape; nullopt when no
+/// term of it carries a gradient.
 using SampleLoss = std::function<std::optional<ad::Tensor>(ad::Tape&, std::size_t)>;
 
-void accumulate(std::size_t samples, int chunk_steps, util::ThreadPool* pool,
-                const SampleLoss& sample_loss) {
+UpdateTimes accumulate(std::size_t samples, int chunk_steps, util::ThreadPool* pool,
+                       const SampleLoss& sample_loss) {
   const std::size_t chunk = static_cast<std::size_t>(chunk_steps);
   const std::size_t participants =
       pool == nullptr ? 1 : static_cast<std::size_t>(pool->workers()) + 1;
+  // One tape per participant, cleared between its samples: after the
+  // first sample its arena holds the largest pass and stops allocating.
+  std::vector<ad::Tape> tapes(participants);
+  std::vector<UpdateTimes> times(participants);
+  // Slots keep their matrices from chunk to chunk; a skipped sample
+  // empties its slot.
   std::vector<std::vector<ad::Tape::LeafGrad>> slots;
   for (std::size_t begin = 0; begin < samples; begin += chunk) {
     const std::size_t end = std::min(samples, begin + chunk);
-    slots.assign(end - begin, {});
+    slots.resize(std::max(slots.size(), end - begin));
     // Participants claim samples from a shared cursor, so a slow sample
-    // never leaves the others idle; which thread runs which sample does
-    // not matter, since every result lands in that sample's own slot.
+    // never leaves the others idle; which participant runs which sample
+    // does not matter, since every result lands in that sample's own
+    // slot.
     std::atomic<std::size_t> next{begin};
     std::atomic<bool> failed{false};
-    const auto drain = [&] {
+    const auto drain = [&](std::size_t p) {
+      ad::Tape& tape = tapes[p];
       try {
         for (std::size_t i = next.fetch_add(1); i < end && !failed.load();
              i = next.fetch_add(1)) {
           NP_SPAN("train.update_task");
           NP_FAULT_POINT("train.update");
-          ad::Tape tape;
+          tape.clear();
+          Stopwatch watch;
           const std::optional<ad::Tensor> loss = sample_loss(tape, i);
-          if (!loss) continue;
+          times[p].forward_seconds += watch.seconds();
+          if (!loss) {
+            slots[i - begin].clear();
+            continue;
+          }
+          watch.restart();
           tape.propagate(*loss);
-          slots[i - begin] = tape.take_leaf_grads();
+          tape.take_leaf_grads(slots[i - begin]);
+          times[p].backward_seconds += watch.seconds();
         }
       } catch (...) {
         failed = true;  // the other participants stop claiming samples
@@ -50,18 +66,27 @@ void accumulate(std::size_t samples, int chunk_steps, util::ThreadPool* pool,
       }
     };
     if (pool == nullptr) {
-      drain();
+      drain(0);
     } else {
       // run_all returns only once every task has finished, rethrowing
       // the first failure, so no task outlives the slots it writes.
-      pool->run_all(std::vector<std::function<void()>>(
-          std::min(participants, end - begin), drain));
+      std::vector<std::function<void()>> tasks;
+      for (std::size_t p = 0; p < std::min(participants, end - begin); ++p) {
+        tasks.emplace_back([&drain, p] { drain(p); });
+      }
+      pool->run_all(std::move(tasks));
     }
     NP_SPAN("train.update_reduce");
-    for (std::vector<ad::Tape::LeafGrad>& slot : slots) {
-      for (ad::Tape::LeafGrad& leaf : slot) leaf.param->grad += leaf.grad;
+    for (std::size_t s = 0; s < end - begin; ++s) {
+      for (ad::Tape::LeafGrad& leaf : slots[s]) leaf.param->grad += leaf.grad;
     }
   }
+  UpdateTimes total;
+  for (const UpdateTimes& t : times) {
+    total.forward_seconds += t.forward_seconds;
+    total.backward_seconds += t.backward_seconds;
+  }
+  return total;
 }
 
 void check_sizes(const std::vector<StepRecord>& buffer, std::size_t targets,
@@ -76,14 +101,13 @@ void check_sizes(const std::vector<StepRecord>& buffer, std::size_t targets,
 
 }  // namespace
 
-void accumulate_policy_gradients(nn::ActorCritic& network,
-                                 const std::shared_ptr<const la::CsrMatrix>& adjacency,
-                                 const std::vector<StepRecord>& buffer,
-                                 const std::vector<double>& advantages,
-                                 const TrainConfig& config, util::ThreadPool* pool) {
+UpdateTimes accumulate_policy_gradients(
+    nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
+    const std::vector<StepRecord>& buffer, const std::vector<double>& advantages,
+    const TrainConfig& config, util::ThreadPool* pool) {
   check_sizes(buffer, advantages.size(), config);
   const double inv_n = 1.0 / static_cast<double>(buffer.size());
-  accumulate(buffer.size(), config.chunk_steps, pool,
+  return accumulate(buffer.size(), config.chunk_steps, pool,
              [&](ad::Tape& tape, std::size_t i) -> std::optional<ad::Tensor> {
     const StepRecord& record = buffer[i];
     ad::Tensor log_probs =
@@ -115,14 +139,13 @@ void accumulate_policy_gradients(nn::ActorCritic& network,
   });
 }
 
-void accumulate_value_gradients(nn::ActorCritic& network,
-                                const std::shared_ptr<const la::CsrMatrix>& adjacency,
-                                const std::vector<StepRecord>& buffer,
-                                const std::vector<double>& rewards_to_go,
-                                const TrainConfig& config, util::ThreadPool* pool) {
+UpdateTimes accumulate_value_gradients(
+    nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
+    const std::vector<StepRecord>& buffer, const std::vector<double>& rewards_to_go,
+    const TrainConfig& config, util::ThreadPool* pool) {
   check_sizes(buffer, rewards_to_go.size(), config);
   const double inv_n = 1.0 / static_cast<double>(buffer.size());
-  accumulate(buffer.size(), config.chunk_steps, pool,
+  return accumulate(buffer.size(), config.chunk_steps, pool,
              [&](ad::Tape& tape, std::size_t i) -> std::optional<ad::Tensor> {
     ad::Tensor value = network.value(tape, adjacency, buffer[i].features);
     ad::Tensor diff =

@@ -2,10 +2,11 @@
 // 16-22): the policy-gradient loss into the actor and GNN parameters,
 // the value MSE loss into the critic and GNN parameters.
 //
-// Every sample of the epoch buffer gets its own tape: forward, reverse
-// pass, its parameter-leaf gradients moved into a per-sample slot, tape
-// freed. Samples are claimed in any order by the calling thread and the
-// pool's workers. Once a chunk of `chunk_steps` samples is done, the
+// Samples of the epoch buffer are claimed in any order by the calling
+// thread and the pool's workers. Each of those participants owns one
+// tape and reuses it, cleared, for every sample it claims: forward,
+// reverse pass, and its parameter-leaf gradients copied into that
+// sample's slot. Once a chunk of `chunk_steps` samples is done, the
 // calling thread adds the slots into Parameter::grad in sample order,
 // leaf by leaf. A sample's leaf gradients depend only on that sample,
 // and one tape shared by the whole chunk would add them in exactly that
@@ -29,18 +30,16 @@ namespace np::rl {
 /// entropy bonus) into the actor and GNN Parameter::grad. Samples whose
 /// loss has no gradient-carrying term (clipped, no entropy bonus) add
 /// nothing. `pool` may be nullptr: the calling thread does every sample.
-void accumulate_policy_gradients(nn::ActorCritic& network,
-                                 const std::shared_ptr<const la::CsrMatrix>& adjacency,
-                                 const std::vector<StepRecord>& buffer,
-                                 const std::vector<double>& advantages,
-                                 const TrainConfig& config, util::ThreadPool* pool);
+UpdateTimes accumulate_policy_gradients(
+    nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
+    const std::vector<StepRecord>& buffer, const std::vector<double>& advantages,
+    const TrainConfig& config, util::ThreadPool* pool);
 
 /// Add the gradient of the epoch's value MSE loss against the
 /// rewards-to-go into the critic and GNN Parameter::grad.
-void accumulate_value_gradients(nn::ActorCritic& network,
-                                const std::shared_ptr<const la::CsrMatrix>& adjacency,
-                                const std::vector<StepRecord>& buffer,
-                                const std::vector<double>& rewards_to_go,
-                                const TrainConfig& config, util::ThreadPool* pool);
+UpdateTimes accumulate_value_gradients(
+    nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
+    const std::vector<StepRecord>& buffer, const std::vector<double>& rewards_to_go,
+    const TrainConfig& config, util::ThreadPool* pool);
 
 }  // namespace np::rl

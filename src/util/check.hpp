@@ -104,7 +104,9 @@ namespace detail {
 template <class... Args>
 std::string concat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  // A comma fold, so an empty pack (NP_ASSERT without a message) is
+  // void() rather than an unused `os` that -Werror=unused-value rejects.
+  ((os << args), ...);
   return os.str();
 }
 }  // namespace detail

@@ -227,7 +227,7 @@ TEST(Tape, MaskedLogSoftmaxIsNormalized) {
   Tape tape;
   Tensor logits = tape.constant(Matrix{{1.0, 2.0, 3.0, 4.0}});
   Tensor lp = tape.masked_log_softmax(logits, {1, 0, 1, 1});
-  const Matrix& v = tape.value(lp);
+  const la::MatrixView v = tape.value(lp);
   double total = 0.0;
   for (std::size_t i : {0u, 2u, 3u}) total += std::exp(v(0, i));
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -318,7 +318,8 @@ TEST(Tape, TakeLeafGradsHandsOutLeavesInRegistrationOrder) {
   Parameter p("p", Matrix{{2.0}});
   Parameter q("q", Matrix{{5.0}});
   Tape tape;
-  EXPECT_THROW(tape.take_leaf_grads(), std::logic_error);
+  std::vector<Tape::LeafGrad> leaves;
+  EXPECT_THROW(tape.take_leaf_grads(leaves), std::logic_error);
   Tensor a = tape.parameter(p);
   Tensor b = tape.parameter(q);
   Tensor c = tape.parameter(p);
@@ -327,7 +328,7 @@ TEST(Tape, TakeLeafGradsHandsOutLeavesInRegistrationOrder) {
   p.zero_grad();
   q.zero_grad();
   tape.propagate(root);
-  const std::vector<Tape::LeafGrad> leaves = tape.take_leaf_grads();
+  tape.take_leaf_grads(leaves);
   ASSERT_EQ(leaves.size(), 3u);
   EXPECT_EQ(leaves[0].param, &p);
   EXPECT_DOUBLE_EQ(leaves[0].grad(0, 0), 3.0);
@@ -337,7 +338,39 @@ TEST(Tape, TakeLeafGradsHandsOutLeavesInRegistrationOrder) {
   EXPECT_DOUBLE_EQ(leaves[2].grad(0, 0), 5.0);
   EXPECT_DOUBLE_EQ(p.grad(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(q.grad(0, 0), 0.0);
-  EXPECT_THROW(tape.take_leaf_grads(), std::logic_error);  // moved out once
+  EXPECT_THROW(tape.take_leaf_grads(leaves), std::logic_error);  // handed out once
+}
+
+TEST(Tape, PropagateRejectsRootNotOnTape) {
+  // A Tensor kept from before clear() can name a node the tape no longer
+  // has; propagate must refuse it rather than read past the nodes.
+  Parameter p("p", Matrix{{2.0}});
+  Tape tape;
+  Tensor stale = tape.sum(tape.scale(tape.parameter(p), 3.0));
+  tape.clear();
+  EXPECT_THROW(tape.propagate(stale), std::out_of_range);
+  (void)tape.parameter(p);  // one node now; the stale root is index 2
+  EXPECT_THROW(tape.propagate(stale), std::out_of_range);
+}
+
+TEST(Tape, PropagateGivesGradientsOnlyUpToTheRoot) {
+  Parameter p("p", Matrix{{2.0, -1.0}});
+  Tape tape;
+  Tensor x = tape.parameter(p);
+  Tensor root = tape.sum(x);
+  Tensor after = tape.scale(x, 2.0);  // recorded after the root
+  tape.propagate(root);
+  EXPECT_EQ(tape.grad(root).size(), 1u);
+  EXPECT_EQ(tape.grad(x).size(), 2u);
+  EXPECT_EQ(tape.grad(after).size(), 0u);
+}
+
+TEST(Tape, ParameterLeafReferencesTheParameterValue) {
+  Parameter p("p", Matrix{{2.0, -1.0}});
+  Tape tape;
+  Tensor x = tape.parameter(p);
+  EXPECT_EQ(tape.value(x).data(), p.value.data());
+  EXPECT_EQ(tape.value(x), p.value);
 }
 
 TEST(Tape, ComposedMlpGradient) {

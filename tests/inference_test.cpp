@@ -4,6 +4,7 @@
 // engine-backed rollouts checked against the tape as oracle.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <memory>
 #include <vector>
@@ -140,18 +141,29 @@ TEST(InferenceRagged, LayoutRejectsEmptyBlocks) {
 
 TEST(InferenceKernels, MatmulBitIdenticalToMatrixMatmul) {
   Rng rng(11);
-  // Sizes straddling the register block (4) and the cache tiles (64/128).
+  // Sizes straddling the register block (4), the 4-column strip and
+  // the old cache tiles (64/128). Matrix::matmul delegates to the
+  // kernel, so both are held to a naive ascending-k triple loop.
   const std::size_t shapes[][3] = {
       {1, 1, 1}, {3, 5, 2}, {4, 64, 128}, {7, 65, 129}, {30, 130, 140}};
   for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s[0], s[1], rng);
+    Matrix a = random_matrix(s[0], s[1], rng);
     const Matrix b = random_matrix(s[1], s[2], rng);
-    const Matrix expected = a.matmul(b);
+    a(0, 0) = -0.0;
+    std::vector<double> naive(s[0] * s[2]);
+    for (std::size_t i = 0; i < s[0]; ++i) {
+      for (std::size_t j = 0; j < s[2]; ++j) {
+        double sum = 0.0;
+        for (std::size_t l = 0; l < s[1]; ++l) sum += a(i, l) * b(l, j);
+        naive[i * s[2] + j] = sum;
+      }
+    }
     std::vector<double> out(s[0] * s[2], -1.0);
     la::kernels::matmul(a.data(), s[0], s[1], b.data(), s[2], out.data());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], expected.flat()[i]) << "entry " << i;
-    }
+    EXPECT_EQ(std::memcmp(out.data(), naive.data(), out.size() * sizeof(double)), 0);
+    const Matrix via_matrix = a.matmul(b);
+    EXPECT_EQ(std::memcmp(via_matrix.data(), naive.data(), naive.size() * sizeof(double)),
+              0);
   }
 }
 
@@ -189,7 +201,7 @@ TEST(InferenceKernels, MaskedLogSoftmaxMatchesTape) {
   const Matrix logits = random_matrix(1, 12, rng, 3.0);
   const std::vector<std::uint8_t> mask = random_mask(12, rng);
   ad::Tape tape;
-  const Matrix expected =
+  const la::MatrixView expected =
       tape.value(tape.masked_log_softmax(tape.constant(logits), mask));
   std::vector<double> out(12);
   la::kernels::masked_log_softmax(logits.data(), mask.data(), 12, out.data());
@@ -236,7 +248,7 @@ void expect_engine_matches_tape(const DifferentialCase& c, unsigned seed) {
         engine.forward(*adjacency, features, mask, /*want_value=*/true);
 
     ad::Tape tape;
-    const Matrix expected_lp =
+    const la::MatrixView expected_lp =
         tape.value(network.policy_log_probs(tape, adjacency, features, mask));
     const double expected_value =
         tape.value(network.value(tape, adjacency, features))(0, 0);
@@ -286,7 +298,7 @@ TEST(InferenceEngineDifferential, RefreshPicksUpUpdatedWeights) {
     for (double& v : p->value.flat()) v += 0.125;
   }
   ad::Tape tape;
-  const Matrix expected =
+  const la::MatrixView expected =
       tape.value(network.policy_log_probs(tape, adjacency, features, mask));
   const nn::InferenceEngine::Output stale =
       engine.forward(*adjacency, features, mask, false);

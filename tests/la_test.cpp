@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "la/kernels.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
 #include "util/rng.hpp"
@@ -202,9 +205,8 @@ TEST(Csr, DimensionMismatchThrows) {
 }
 
 TEST(Matrix, MatmulTiledMatchesNaiveReference) {
-  // Shapes straddling the kTileK=64 / kTileJ=128 thresholds, so both
-  // the small fast path and the blocked path are exercised and must
-  // agree with a plain triple loop bit-for-bit (k-ascending sums).
+  // Matrix::matmul is kernels::matmul; long reductions and wide outputs
+  // must agree with a plain triple loop bit-for-bit (k-ascending sums).
   Rng rng(21);
   const std::size_t shapes[][3] = {
       {3, 5, 4}, {70, 150, 200}, {64, 64, 128}, {65, 65, 129}, {1, 200, 1}};
@@ -225,6 +227,131 @@ TEST(Matrix, MatmulTiledMatchesNaiveReference) {
     }
     EXPECT_EQ(a.matmul(b), naive) << s[0] << "x" << s[1] << "x" << s[2];
   }
+}
+
+// ---- kernels::matmul / accumulate_at_b / accumulate_a_bt vs naive loops ----
+
+/// Normal entries with exact -0.0s and +0.0s and large-magnitude
+/// (~1e100) entries mixed in, so a kernel that drops the leading 0.0 +,
+/// reorders a sum or contracts a multiply-add shows up under memcmp.
+std::vector<double> awkward_values(std::size_t count, Rng& rng) {
+  std::vector<double> v(count);
+  for (double& x : v) {
+    const double u = rng.uniform();
+    x = u < 0.1 ? -0.0 : u < 0.15 ? 0.0 : u < 0.25 ? rng.normal() * 1e100 : rng.normal();
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Dimensions straddling the 4-row block, the 4-column strip and the old
+// 64/128 cache tiles.
+constexpr std::size_t kDims[] = {1, 3, 4, 5, 8, 9, 13, 65, 129};
+
+TEST(Kernels, MatmulMatchesNaiveAscendingLoop) {
+  Rng rng(31);
+  for (std::size_t n : kDims) {
+    for (std::size_t k : kDims) {
+      for (std::size_t m : kDims) {
+        const std::vector<double> a = awkward_values(n * k, rng);
+        const std::vector<double> b = awkward_values(k * m, rng);
+        std::vector<double> want(n * m);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < m; ++j) {
+            double sum = 0.0;
+            for (std::size_t l = 0; l < k; ++l) sum += a[i * k + l] * b[l * m + j];
+            want[i * m + j] = sum;
+          }
+        }
+        std::vector<double> got(n * m, 7.0);
+        kernels::matmul(a.data(), n, k, b.data(), m, got.data());
+        ASSERT_TRUE(same_bits(got, want)) << n << "x" << k << "x" << m;
+      }
+    }
+  }
+}
+
+TEST(Kernels, AccumulateAtBMatchesNaiveThenAdd) {
+  // grad (k x m) += aᵀ (k x n) @ g (n x m): the product summed over
+  // ascending n into a zeroed temporary, then added into grad once.
+  Rng rng(32);
+  for (std::size_t n : kDims) {
+    for (std::size_t k : kDims) {
+      for (std::size_t m : kDims) {
+        const std::vector<double> a = awkward_values(n * k, rng);
+        const std::vector<double> g = awkward_values(n * m, rng);
+        std::vector<double> want = awkward_values(k * m, rng);
+        std::vector<double> got = want;
+        for (std::size_t i = 0; i < k; ++i) {
+          for (std::size_t j = 0; j < m; ++j) {
+            double sum = 0.0;
+            for (std::size_t l = 0; l < n; ++l) sum += a[l * k + i] * g[l * m + j];
+            want[i * m + j] += sum;
+          }
+        }
+        kernels::accumulate_at_b(a.data(), n, k, g.data(), m, got.data());
+        ASSERT_TRUE(same_bits(got, want)) << n << "x" << k << "x" << m;
+      }
+    }
+  }
+}
+
+TEST(Kernels, AccumulateABtMatchesNaiveThenAdd) {
+  // grad (n x k) += g (n x m) @ bᵀ (m x k): summed over ascending m,
+  // then added into grad once.
+  Rng rng(33);
+  for (std::size_t n : kDims) {
+    for (std::size_t k : kDims) {
+      for (std::size_t m : kDims) {
+        const std::vector<double> g = awkward_values(n * m, rng);
+        const std::vector<double> b = awkward_values(k * m, rng);
+        std::vector<double> want = awkward_values(n * k, rng);
+        std::vector<double> got = want;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < k; ++j) {
+            double sum = 0.0;
+            for (std::size_t l = 0; l < m; ++l) sum += g[i * m + l] * b[j * m + l];
+            want[i * k + j] += sum;
+          }
+        }
+        std::vector<double> panel(4 * m);
+        kernels::accumulate_a_bt(g.data(), n, m, b.data(), k, got.data(), panel.data());
+        ASSERT_TRUE(same_bits(got, want)) << n << "x" << k << "x" << m;
+      }
+    }
+  }
+}
+
+TEST(Kernels, SignOfZeroFollowsTheLeadingZeroPlus) {
+  // Every product is -0.0 * +0.0 = -0.0, so each sum is
+  // 0.0 + (-0.0) + ... = +0.0, and adding it into a -0.0 gradient entry
+  // gives +0.0 as well. 13 output columns reach the 8- and 4-column
+  // strips and the scalar remainder of every kernel.
+  constexpr std::size_t n = 5, d = 13;
+  const std::vector<double> neg_nd(n * d, -0.0);
+  const std::vector<double> pos_nd(n * d, 0.0);
+  const std::vector<double> pos_dd(d * d, 0.0);
+  const auto all_positive_zero = [](const std::vector<double>& v) {
+    for (double x : v) {
+      if (x != 0.0 || std::signbit(x)) return false;
+    }
+    return true;
+  };
+  std::vector<double> out(n * d, -1.0);
+  kernels::matmul(neg_nd.data(), n, d, pos_dd.data(), d, out.data());
+  EXPECT_TRUE(all_positive_zero(out));
+  std::vector<double> grad_w(d * d, -0.0);  // += aᵀ (d x n) @ g (n x d)
+  kernels::accumulate_at_b(neg_nd.data(), n, d, pos_nd.data(), d, grad_w.data());
+  EXPECT_TRUE(all_positive_zero(grad_w));
+  std::vector<double> grad_x(n * d, -0.0);  // += g (n x d) @ bᵀ (d x d)
+  std::vector<double> panel(4 * d);
+  kernels::accumulate_a_bt(neg_nd.data(), n, d, pos_dd.data(), d, grad_x.data(),
+                           panel.data());
+  EXPECT_TRUE(all_positive_zero(grad_x));
 }
 
 }  // namespace

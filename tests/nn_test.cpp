@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "nn/actor_critic.hpp"
 #include "nn/gcn.hpp"
@@ -129,7 +131,7 @@ TEST(Gcn, MessagePassingPropagatesInformation) {
   Matrix x(6, 1, 0.0);
   x(0, 0) = 1.0;
   ad::Tensor y = gcn.forward(tape, ring_adjacency(6), tape.constant(x));
-  const Matrix& e = tape.value(y);
+  const la::MatrixView e = tape.value(y);
   double diff_neighbor = 0.0, diff_far = 0.0;
   for (std::size_t c = 0; c < e.cols(); ++c) {
     diff_neighbor += std::abs(e(1, c) - e(3, c));
@@ -167,7 +169,7 @@ TEST(ActorCritic, PolicyIsMaskedDistribution) {
   mask[0] = mask[4] = mask[7] = 1;
   ad::Tape tape;
   ad::Tensor lp = net.policy_log_probs(tape, ring_adjacency(n), features, mask);
-  const Matrix& v = tape.value(lp);
+  const la::MatrixView v = tape.value(lp);
   ASSERT_EQ(v.cols(), static_cast<std::size_t>(n * 3));
   double total = 0.0;
   for (std::size_t i = 0; i < v.cols(); ++i) {
@@ -267,6 +269,67 @@ TEST(ActorCritic, GradientsReachAllGroupsThroughPolicyLoss) {
   // Critic untouched by the policy head.
   for (ad::Parameter* p : net.critic_parameters()) {
     EXPECT_DOUBLE_EQ(p->grad.max_abs(), 0.0);
+  }
+}
+
+TEST(TapeReuse, ClearedTapeMatchesFreshTapesBitForBit) {
+  // The update phase reuses one tape per participant across samples.
+  // Its leaf gradients must equal a fresh tape's bit for bit, for both
+  // encoders and both losses, and after the first sample the arena must
+  // not allocate again.
+  constexpr int kNodes = 6;
+  constexpr int kUnits = 3;
+  const auto adjacency = ring_adjacency(kNodes);
+  for (GnnType type : {GnnType::kGcn, GnnType::kGat}) {
+    NetworkConfig config;
+    config.feature_dim = 4;
+    config.gcn_hidden = 8;
+    config.mlp_hidden = {16, 8};
+    config.max_units_per_step = kUnits;
+    config.gnn_type = type;
+    Rng rng(5);
+    ActorCritic net(config, rng);
+    for (bool policy : {true, false}) {
+      ad::Tape reused;
+      long reallocations = -1;
+      std::vector<ad::Tape::LeafGrad> want, got;
+      for (int s = 0; s < 6; ++s) {
+        Rng data(100 + s);
+        Matrix features(kNodes, 4);
+        for (double& v : features.flat()) v = data.normal();
+        std::vector<std::uint8_t> mask(kNodes * kUnits, 1);
+        mask[static_cast<std::size_t>(s)] = 0;
+        const auto loss = [&](ad::Tape& tape) {
+          if (policy) {
+            ad::Tensor lp = net.policy_log_probs(tape, adjacency, features, mask);
+            return tape.scale(tape.pick(lp, 0, static_cast<std::size_t>(s) + 1), -0.5);
+          }
+          return tape.square(net.value(tape, adjacency, features));
+        };
+        ad::Tape fresh;
+        fresh.propagate(loss(fresh));
+        fresh.take_leaf_grads(want);
+        reused.clear();
+        // The first sample grows the arena and the clear() after it
+        // coalesces that growth into one block; nothing allocates after.
+        if (s == 1) reallocations = reused.arena_reallocations();
+        reused.propagate(loss(reused));
+        reused.take_leaf_grads(got);
+        if (s >= 1) {
+          EXPECT_EQ(reused.arena_reallocations(), reallocations) << "sample " << s;
+        }
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].param, want[i].param);
+          ASSERT_TRUE(got[i].grad.same_shape(want[i].grad));
+          EXPECT_EQ(std::memcmp(got[i].grad.data(), want[i].grad.data(),
+                                got[i].grad.size() * sizeof(double)),
+                    0)
+              << (type == GnnType::kGat ? "GAT" : "GCN")
+              << (policy ? " policy" : " value") << " sample " << s << " leaf " << i;
+        }
+      }
+    }
   }
 }
 
