@@ -10,6 +10,7 @@
 //   NEUROPLAN_ILP_TIME e.g. "120"   — exact-ILP budget seconds
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,7 +47,10 @@ namespace np::bench {
 /// v9: train_epoch rows split the update into update_forward_s and
 /// update_backward_s, thread-seconds summed over the update pool (named
 /// in "thread_seconds_fields"; they can exceed update_s on a pool).
-inline constexpr int kBenchSchemaVersion = 9;
+/// v10: rollout_throughput repeats every worker count ("repeats"):
+/// steps_per_sec is median/min/max, lp_seconds and lp_busy_frac are
+/// medians, lp_iterations must agree across repeats.
+inline constexpr int kBenchSchemaVersion = 10;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.
@@ -77,6 +81,26 @@ inline void print_json_provenance(std::FILE* out) {
                  "series measure contention, not parallel speedup\"\n"
                  "  },\n");
   }
+}
+
+/// Median, min and max of repeated timings.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread spread(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  const double median = n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+  return Spread{median, xs.front(), xs.back()};
+}
+
+inline void print_spread(std::FILE* out, const char* name, const Spread& s,
+                         const char* tail) {
+  std::fprintf(out, "\"%s\": {\"median\": %.4f, \"min\": %.4f, \"max\": %.4f}%s",
+               name, s.median, s.min, s.max, tail);
 }
 
 inline std::string topo_selection(const std::string& fallback) {

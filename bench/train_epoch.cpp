@@ -8,8 +8,7 @@
 // next one. The same seed means every repeat does the same work, so the
 // spread (min/max around the median) is timing noise only. The update
 // phase runs its per-sample gradient tasks on the rollout pool, so
-// `update_threads` is min(workers, hardware threads) for workers > 1
-// and 1 in the borrowed K = 1 mode.
+// `update_threads` is min(workers, hardware threads).
 //
 // Per row: median/min/max of epoch, collect and update seconds (wall),
 // of update_forward_s and update_backward_s (the update's tape forwards
@@ -38,18 +37,9 @@ using namespace np;
 constexpr int kRepeats = 5;
 const std::vector<int> kWorkerCounts = {1, 2, 4};
 
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread spread(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  const double median = n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-  return Spread{median, xs.front(), xs.back()};
-}
+using bench::Spread;
+using bench::print_spread;
+using bench::spread;
 
 struct Row {
   int workers = 1;
@@ -64,8 +54,7 @@ struct Row {
 Row measure(const topo::Topology& topology, int workers, unsigned seed) {
   Row row;
   row.workers = workers;
-  row.update_threads =
-      workers == 1 ? 1 : std::min(workers, util::ThreadPool::hardware_threads());
+  row.update_threads = std::min(workers, util::ThreadPool::hardware_threads());
   obs::Counter& backwards = obs::counter("ad.backwards");
   obs::Counter& lp_iterations = obs::counter("lp.iterations");
   obs::Gauge& update_seconds = obs::gauge("train.update_seconds");
@@ -97,11 +86,6 @@ Row measure(const topo::Topology& topology, int workers, unsigned seed) {
   row.update_forward_s = spread(update_forward_s);
   row.update_backward_s = spread(update_backward_s);
   return row;
-}
-
-void print_spread(std::FILE* out, const char* name, const Spread& s, const char* tail) {
-  std::fprintf(out, "\"%s\": {\"median\": %.4f, \"min\": %.4f, \"max\": %.4f}%s", name,
-               s.median, s.min, s.max, tail);
 }
 
 }  // namespace

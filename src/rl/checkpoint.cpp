@@ -145,7 +145,7 @@ void A2cTrainer::save_checkpoint(const std::string& path) {
   for (std::uint64_t word : rng_state) out << ' ' << hex_u64(word);
   out << '\n';
   const std::vector<std::array<std::uint64_t, 4>> worker_states =
-      rollout_->rng_states();
+      rollout_.rng_states();
   out << "worker_rngs " << worker_states.size() << '\n';
   for (const auto& state : worker_states) {
     out << "wrng";
@@ -255,7 +255,7 @@ void A2cTrainer::resume_from_checkpoint(const std::string& path) {
         word = parse_hex_u64(token, "wrng");
       }
     }
-    rollout_->set_rng_states(states);
+    rollout_.set_rng_states(states);
   }
 
   {

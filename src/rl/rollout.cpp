@@ -27,6 +27,14 @@ void record_episode(int length, double episode_return) {
   returns.observe(episode_return);
 }
 
+/// Pool size for K workers: the calling thread is the K-th participant.
+int pool_workers(int workers) {
+  if (workers < 1) {
+    throw std::invalid_argument("RolloutWorkers: workers must be >= 1");
+  }
+  return std::min(workers, util::ThreadPool::hardware_threads()) - 1;
+}
+
 /// Rollout volume counters, bumped once per collect() call.
 void record_rollout_totals(const std::vector<WorkerRollout>& rollouts) {
   long steps = 0, trajectories = 0, feasible = 0;
@@ -66,76 +74,64 @@ int sample_from_log_probs(const double* log_probs,
   return last_valid;  // numeric slack
 }
 
-RolloutWorkers::RolloutWorkers(PlanningEnv& env, Rng& rng, nn::ActorCritic& network)
-    : network_(network),
-      workers_(1),
-      borrowed_env_(&env),
-      borrowed_rng_(&rng) {
-  feature_buffers_.resize(1);
-  mask_buffers_.resize(1);
-}
-
-RolloutWorkers::RolloutWorkers(const topo::Topology& topology,
-                               const EnvConfig& env_config,
-                               nn::ActorCritic& network, int workers,
-                               unsigned seed)
-    : network_(network), workers_(workers) {
-  if (workers < 1) {
-    throw std::invalid_argument("RolloutWorkers: workers must be >= 1");
+RolloutWorkers::RolloutWorkers(PlanningEnv& env, Rng& rng, nn::ActorCritic& network,
+                               int workers, unsigned seed)
+    : engine_(network), pool_(pool_workers(workers)) {
+  envs_.push_back(&env);
+  rngs_.push_back(&rng);
+  // Reserved up front: envs_/rngs_ point into these vectors.
+  owned_envs_.reserve(workers - 1);
+  owned_rngs_.reserve(workers - 1);
+  Rng base(seed);
+  for (int w = 1; w < workers; ++w) {
+    owned_envs_.push_back(std::make_unique<PlanningEnv>(env.topology(), env.env_config()));
+    owned_rngs_.push_back(base.split());
+    envs_.push_back(owned_envs_.back().get());
+    rngs_.push_back(&owned_rngs_.back());
   }
   feature_buffers_.resize(workers);
   mask_buffers_.resize(workers);
-  envs_.reserve(workers);
-  rngs_.reserve(workers);
-  Rng base(seed);
-  for (int w = 0; w < workers; ++w) {
-    envs_.push_back(std::make_unique<PlanningEnv>(topology, env_config));
-    rngs_.push_back(base.split());
-  }
-  const int participants = std::min(workers, util::ThreadPool::hardware_threads());
-  pool_ = std::make_unique<util::ThreadPool>(std::max(0, participants - 1));
 }
 
 std::vector<std::array<std::uint64_t, 4>> RolloutWorkers::rng_states() const {
   std::vector<std::array<std::uint64_t, 4>> states;
-  states.reserve(rngs_.size());
-  for (const Rng& rng : rngs_) states.push_back(rng.state());
+  states.reserve(owned_rngs_.size());
+  for (const Rng& rng : owned_rngs_) states.push_back(rng.state());
   return states;
 }
 
 void RolloutWorkers::set_rng_states(
     const std::vector<std::array<std::uint64_t, 4>>& states) {
-  if (states.size() != rngs_.size()) {
+  if (states.size() != owned_rngs_.size()) {
+    // The config fingerprint already pins K, so a count that differs
+    // comes from a checkpoint that saved a stream for worker 0 too
+    // (written before worker 0 drew from the trainer's own RNG).
     throw std::runtime_error(
-        "RolloutWorkers::set_rng_states: stream count mismatch (" +
-        std::to_string(states.size()) + " saved, " +
-        std::to_string(rngs_.size()) + " live) — resume with the same "
-        "--rollout-workers the checkpoint was written with");
+        "RolloutWorkers::set_rng_states: checkpoint holds " +
+        std::to_string(states.size()) + " worker RNG streams, but a run with " +
+        std::to_string(workers()) + " rollout workers keeps " +
+        std::to_string(owned_rngs_.size()) +
+        " (worker 0 draws from the trainer's RNG) — the checkpoint was written "
+        "with a different stream layout and cannot resume bit-for-bit");
   }
-  for (std::size_t w = 0; w < states.size(); ++w) rngs_[w].set_state(states[w]);
+  for (std::size_t w = 0; w < states.size(); ++w) owned_rngs_[w].set_state(states[w]);
 }
 
 long RolloutWorkers::total_lp_iterations() const {
-  if (borrowed_env_ != nullptr) return borrowed_env_->evaluator_lp_iterations();
   long total = 0;
-  for (const auto& env : envs_) total += env->evaluator_lp_iterations();
+  for (const PlanningEnv* env : envs_) total += env->evaluator_lp_iterations();
   return total;
 }
 
 double RolloutWorkers::total_lp_seconds() const {
-  if (borrowed_env_ != nullptr) return borrowed_env_->evaluator_lp_seconds();
   double total = 0.0;
-  for (const auto& env : envs_) total += env->evaluator_lp_seconds();
+  for (const PlanningEnv* env : envs_) total += env->evaluator_lp_seconds();
   return total;
 }
 
-void RolloutWorkers::prepare_engine() {
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<nn::InferenceEngine>(network_);
-  } else {
-    // The optimizer stepped since the last epoch; re-snapshot.
-    engine_->refresh();
-  }
+nn::InferenceEngine& RolloutWorkers::refreshed_engine() {
+  engine_.refresh();
+  return engine_;
 }
 
 std::vector<WorkerRollout> RolloutWorkers::collect(int total_steps) {
@@ -143,92 +139,9 @@ std::vector<WorkerRollout> RolloutWorkers::collect(int total_steps) {
     throw std::invalid_argument("RolloutWorkers::collect: total_steps < 1");
   }
   NP_SPAN("rollout.collect");
-  prepare_engine();
-  std::vector<WorkerRollout> out;
-  if (borrowed_env_ != nullptr) {
-    out.push_back(collect_serial(*borrowed_env_, *borrowed_rng_, total_steps));
-  } else {
-    out = collect_lockstep(total_steps);
-  }
-  record_rollout_totals(out);
-  return out;
-}
-
-WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
-                                             int steps) {
-  // Mirrors the original serial trainer loop operation-for-operation
-  // (bit-identical forwards, same single rng.uniform() per step) so
-  // borrowed mode reproduces the pre-threading trainer bit-for-bit.
-  WorkerRollout rollout;
-  rollout.records.reserve(steps);
-  double trajectory_return = 0.0;
-  int episode_length = 0;
-
-  la::Matrix& features = feature_buffers_[0];
-  std::vector<std::uint8_t>& mask = mask_buffers_[0];
-
-  env.reset();
-  // Watchdog liveness: one beat per env step (each step is an LP-backed
-  // plan evaluation, so a quiet heartbeat means a wedged solve).
-  obs::HeartbeatScope heartbeat("hb.rollout_step");
-  while (static_cast<int>(rollout.records.size()) < steps) {
-    heartbeat.beat(static_cast<long>(rollout.records.size()));
-    StepRecord record;
-    env.features_into(features);
-    env.action_mask_into(mask);
-    record.features = features;  // records own copies; buffers stay warm
-    record.mask = mask;
-
-    {
-      NP_SPAN("rollout.forward");
-      // One shared encoder pass for policy + value, bit-identical to
-      // the tape forwards the update phase recomputes.
-      const nn::InferenceEngine::Output out = engine_->forward(
-          *env.adjacency(), record.features, record.mask, /*want_value=*/true);
-      record.action = sample_from_log_probs(out.log_probs, record.mask, rng);
-      record.log_prob = out.log_probs[record.action];
-      record.value = out.value;
-    }
-
-    StepResult step;
-    {
-      NP_SPAN("rollout.env_step");
-      NP_FAULT_POINT("rollout.step");
-      step = env.step(record.action);
-    }
-    record.reward = step.reward;
-    record.terminal = step.done;
-    trajectory_return += step.reward;
-    ++episode_length;
-    rollout.records.push_back(std::move(record));
-
-    if (step.done) {
-      ++rollout.trajectories;
-      rollout.return_sum += trajectory_return;
-      record_episode(episode_length, trajectory_return);
-      trajectory_return = 0.0;
-      episode_length = 0;
-      if (step.feasible) {
-        ++rollout.feasible_trajectories;
-        const double cost = env.added_cost();
-        if (cost < rollout.best_cost) {
-          rollout.best_cost = cost;
-          rollout.best_added = env.added_units();
-        }
-      }
-      env.reset();
-    }
-  }
-
-  if (!rollout.records.back().terminal) {
-    env.features_into(features);
-    rollout.last_value = engine_->value(*env.adjacency(), features);
-  }
-  return rollout;
-}
-
-std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
-  const int k = workers_;
+  // The optimizer stepped since the last collect; re-snapshot.
+  engine_.refresh();
+  const int k = workers();
   std::vector<int> quota(k, total_steps / k);
   for (int w = 0; w < total_steps % k; ++w) ++quota[w];
 
@@ -285,7 +198,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
         graph_inputs_.push_back(nn::InferenceEngine::GraphInput{
             envs_[w]->adjacency().get(), &features[w], &masks[w]});
       }
-      const nn::InferenceEngine::BatchOutput& forward = engine_->forward_ragged(
+      const nn::InferenceEngine::BatchOutput& forward = engine_.forward_ragged(
           graph_inputs_.data(), graph_inputs_.size(), /*want_values=*/true);
 
       // Sample in ascending worker order, each from its own RNG stream:
@@ -296,7 +209,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
         record.features = features[w];
         record.mask = masks[w];
         record.action =
-            sample_from_log_probs(forward.log_probs[s], record.mask, rngs_[w]);
+            sample_from_log_probs(forward.log_probs[s], record.mask, *rngs_[w]);
         record.log_prob = forward.log_probs[s][record.action];
         record.value = forward.values[s];
         rollouts[w].records.push_back(std::move(record));
@@ -317,7 +230,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
           results[w] = envs_[w]->step(action);
         });
       }
-      pool_->run_all(std::move(tasks));
+      pool_.run_all(std::move(tasks));
     }
 
     // Post-process in ascending worker order (stats merging is ordered).
@@ -351,8 +264,9 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
   for (int w = 0; w < k; ++w) {
     if (rollouts[w].records.empty() || rollouts[w].records.back().terminal) continue;
     envs_[w]->features_into(features[w]);
-    rollouts[w].last_value = engine_->value(*envs_[w]->adjacency(), features[w]);
+    rollouts[w].last_value = engine_.value(*envs_[w]->adjacency(), features[w]);
   }
+  record_rollout_totals(rollouts);
   return rollouts;
 }
 

@@ -1,22 +1,20 @@
 // Multi-worker rollout collection (the paper's §5 scale-out story,
 // single-process rendition).
 //
-// RolloutWorkers fills an epoch's step budget with K independent
-// PlanningEnv instances. Two modes:
-//
-//  * Borrowed (K = 1): reuses the caller's env and RNG and replays the
-//    exact serial rollout loop of the original trainer — same forward
-//    passes, same RNG consumption — so `rollout_workers = 1` is
-//    bit-for-bit identical to the pre-threading trainer.
-//  * Owned (K > 1): owns K envs, each with its own RNG stream derived
-//    deterministically from (seed, worker index). Workers advance in
-//    lockstep rounds: the active workers' states go through one ragged
-//    batched forward of the tape-free inference engine, then
-//    actions are sampled and applied per worker in ascending worker
-//    order. Environment stepping (the LP feasibility checks) runs on a
-//    thread pool. Results depend only on (K, seed, network weights) —
-//    never on thread count or scheduling — so a K-worker run is
-//    reproducible anywhere.
+// RolloutWorkers fills an epoch's step budget with K workers, each a
+// PlanningEnv with its own RNG stream. Worker 0 steps the caller's env
+// with the caller's RNG; workers 1..K-1 own envs over the same
+// topology, worker w drawing from the w-th stream split off
+// Rng(seed). Workers advance in lockstep rounds: the active workers'
+// states go through one ragged batched forward of the tape-free
+// inference engine, then actions are sampled and applied per worker in
+// ascending worker order. Environment stepping (the LP feasibility
+// checks) runs on a thread pool of min(K, hardware threads) - 1
+// workers plus the calling thread. Results depend only on (K, seed,
+// the caller's RNG state, network weights) — never on thread count or
+// scheduling. At K = 1 the pool has no workers and every round runs
+// inline: the same forwards and the same single rng.uniform() per step
+// as a plain serial loop over the caller's env.
 //
 // The per-worker buffers are returned separately (concatenation order =
 // worker index) so the trainer can bootstrap GAE per worker without
@@ -78,16 +76,11 @@ struct WorkerRollout {
 
 class RolloutWorkers {
  public:
-  /// Borrowed mode: single worker sharing the caller's env and RNG.
-  /// Both must outlive this object.
-  RolloutWorkers(PlanningEnv& env, Rng& rng, nn::ActorCritic& network);
-
-  /// Owned mode: `workers` independent envs over `topology` (which must
-  /// outlive this object), RNG streams derived from `seed`. Requires
-  /// workers >= 1; workers == 1 still uses the lockstep path (useful
-  /// for testing) — pass the borrowed constructor for seed parity.
-  RolloutWorkers(const topo::Topology& topology, const EnvConfig& env_config,
-                 nn::ActorCritic& network, int workers, unsigned seed);
+  /// `workers` workers: worker 0 steps `env` with `rng` (both must
+  /// outlive this object), workers 1..K-1 own envs built from
+  /// env.topology() / env.env_config(). Requires workers >= 1.
+  RolloutWorkers(PlanningEnv& env, Rng& rng, nn::ActorCritic& network, int workers,
+                 unsigned seed);
 
   /// Collect `total_steps` env steps split across workers (worker w
   /// takes total/K steps, +1 for the first total%K workers). Every env
@@ -96,60 +89,46 @@ class RolloutWorkers {
   /// worker, in worker order.
   std::vector<WorkerRollout> collect(int total_steps);
 
-  int workers() const { return workers_; }
-  bool borrowed() const { return borrowed_env_ != nullptr; }
+  int workers() const { return static_cast<int>(envs_.size()); }
 
-  /// The env-stepping pool (min(K, hardware threads) - 1 workers), lent
-  /// to the trainer's update phase between collects; nullptr in
-  /// borrowed mode, where the update runs on the calling thread.
-  util::ThreadPool* pool() { return pool_.get(); }
+  /// The env-stepping pool (min(K, hardware threads) - 1 workers, so
+  /// none at K = 1), lent to the trainer's update phase between
+  /// collects.
+  util::ThreadPool& pool() { return pool_; }
 
   /// The tape-free engine that selects every action (bit-identical to
-  /// tape forwards); nullptr before the first collect. Exposed for
-  /// arena introspection in tests and benches.
-  const nn::InferenceEngine* inference_engine() const { return engine_.get(); }
+  /// tape forwards), re-snapshotted to the network's current weights.
+  nn::InferenceEngine& refreshed_engine();
 
-  /// RNG states of the owned per-worker streams, worker-ordered
-  /// (checkpointing). Empty in borrowed mode — the caller owns the RNG
-  /// there and snapshots it directly.
+  /// RNG states of the K - 1 owned streams (workers 1..K-1, in order)
+  /// for checkpointing; worker 0's stream is the caller's to save.
   std::vector<std::array<std::uint64_t, 4>> rng_states() const;
-  /// Restore per-worker streams saved by rng_states(). Throws when the
-  /// count does not match the worker count (a checkpoint from a run
-  /// with a different `--rollout-workers` cannot resume bit-for-bit).
+  /// Restore streams saved by rng_states(). Throws when the count is
+  /// not K - 1.
   void set_rng_states(const std::vector<std::array<std::uint64_t, 4>>& states);
 
-  /// Cumulative simplex iterations across every env this object steps
-  /// (the borrowed env, or all owned envs) — the LP share of rollout
-  /// work for throughput accounting.
+  /// Cumulative simplex iterations across every worker's env — the LP
+  /// share of rollout work for throughput accounting.
   long total_lp_iterations() const;
   /// Matching seconds spent inside lp::solve (summed across workers, so
-  /// CPU-seconds rather than wall-clock in owned mode).
+  /// CPU-seconds rather than wall-clock).
   double total_lp_seconds() const;
 
  private:
-  WorkerRollout collect_serial(PlanningEnv& env, Rng& rng, int steps);
-  std::vector<WorkerRollout> collect_lockstep(int total_steps);
-  /// Lazily build + re-snapshot the engine (weights change every epoch).
-  void prepare_engine();
-
-  nn::ActorCritic& network_;
-  int workers_ = 1;
-  std::unique_ptr<nn::InferenceEngine> engine_;
-  // Observation buffers reused across steps/rounds: the envs write into
+  nn::InferenceEngine engine_;
+  // Worker-ordered; entry 0 is the caller's env and RNG, the rest point
+  // into owned_envs_ / owned_rngs_.
+  std::vector<PlanningEnv*> envs_;
+  std::vector<Rng*> rngs_;
+  std::vector<std::unique_ptr<PlanningEnv>> owned_envs_;
+  std::vector<Rng> owned_rngs_;
+  // Observation buffers reused across rounds: the envs write into
   // these (features_into/action_mask_into) and records COPY them, so
   // per-step observation building allocates nothing once warm.
   std::vector<la::Matrix> feature_buffers_;
   std::vector<std::vector<std::uint8_t>> mask_buffers_;
   std::vector<nn::InferenceEngine::GraphInput> graph_inputs_;
-
-  // Borrowed mode.
-  PlanningEnv* borrowed_env_ = nullptr;
-  Rng* borrowed_rng_ = nullptr;
-
-  // Owned mode.
-  std::vector<std::unique_ptr<PlanningEnv>> envs_;
-  std::vector<Rng> rngs_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  util::ThreadPool pool_;
 };
 
 }  // namespace np::rl

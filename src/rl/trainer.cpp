@@ -28,12 +28,10 @@ A2cTrainer::A2cTrainer(const topo::Topology& topology, const TrainConfig& config
       env_(topology, config.env),
       network_(reconcile(config), rng_),
       actor_optimizer_(ad::AdamConfig{.learning_rate = config.actor_learning_rate}),
-      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}) {
+      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}),
+      rollout_(env_, rng_, network_, config.rollout_workers, config.seed) {
   if (config.steps_per_epoch < 1 || config.epochs < 1 || config.chunk_steps < 1) {
     throw std::invalid_argument("A2cTrainer: epochs/steps/chunk must be positive");
-  }
-  if (config.rollout_workers < 1) {
-    throw std::invalid_argument("A2cTrainer: rollout_workers must be >= 1");
   }
   // Algorithm 1 line 19/22: the actor update touches theta and theta_g,
   // the critic update theta_v and theta_g.
@@ -41,14 +39,6 @@ A2cTrainer::A2cTrainer(const topo::Topology& topology, const TrainConfig& config
   actor_optimizer_.add_parameters(network_.gnn_parameters());
   critic_optimizer_.add_parameters(network_.critic_parameters());
   critic_optimizer_.add_parameters(network_.gnn_parameters());
-  if (config.rollout_workers == 1) {
-    // Borrowed mode shares env_/rng_ with the trainer: the serial code
-    // path and RNG stream of the pre-threading trainer, bit-for-bit.
-    rollout_ = std::make_unique<RolloutWorkers>(env_, rng_, network_);
-  } else {
-    rollout_ = std::make_unique<RolloutWorkers>(
-        topology, config.env, network_, config.rollout_workers, config.seed);
-  }
 }
 
 EpochStats A2cTrainer::run_epoch() {
@@ -59,7 +49,7 @@ EpochStats A2cTrainer::run_epoch() {
   stats.best_cost_in_epoch = kUnset;
 
   Stopwatch rollout_watch;
-  std::vector<WorkerRollout> rollouts = rollout_->collect(config_.steps_per_epoch);
+  std::vector<WorkerRollout> rollouts = rollout_.collect(config_.steps_per_epoch);
   stats.rollout_seconds = rollout_watch.seconds();
 
   // Merge per-worker stats in worker order (deterministic for fixed K).
@@ -154,7 +144,7 @@ UpdateTimes A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
   NP_SPAN("train.update_policy");
   actor_optimizer_.zero_grad();
   const UpdateTimes times = accumulate_policy_gradients(
-      network_, env_.adjacency(), buffer, advantages, config_, rollout_->pool());
+      network_, env_.adjacency(), buffer, advantages, config_, rollout_.pool());
   actor_optimizer_.step();
   return times;
 }
@@ -164,25 +154,16 @@ UpdateTimes A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   NP_SPAN("train.update_critic");
   critic_optimizer_.zero_grad();
   const UpdateTimes times = accumulate_value_gradients(
-      network_, env_.adjacency(), buffer, rewards_to_go, config_, rollout_->pool());
+      network_, env_.adjacency(), buffer, rewards_to_go, config_, rollout_.pool());
   critic_optimizer_.step();
   return times;
-}
-
-nn::InferenceEngine& A2cTrainer::acting_engine() {
-  if (acting_engine_storage_ == nullptr) {
-    acting_engine_storage_ = std::make_unique<nn::InferenceEngine>(network_);
-  } else {
-    acting_engine_storage_->refresh();
-  }
-  return *acting_engine_storage_;
 }
 
 A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
   if (rollouts < 1) throw std::invalid_argument("evaluate_policy: rollouts < 1");
   PolicyEvaluation eval;
   eval.rollouts = rollouts;
-  nn::InferenceEngine& engine = acting_engine();
+  nn::InferenceEngine& engine = rollout_.refreshed_engine();
   double cost_sum = 0.0;
   double best = kUnset;
   for (int r = 0; r < rollouts; ++r) {
@@ -217,7 +198,7 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
 bool A2cTrainer::greedy_rollout() {
   env_.reset();
   bool feasible = false;
-  nn::InferenceEngine& engine = acting_engine();
+  nn::InferenceEngine& engine = rollout_.refreshed_engine();
   while (!env_.done()) {
     const la::Matrix features = env_.features();
     const std::vector<std::uint8_t> mask = env_.action_mask();

@@ -17,15 +17,15 @@
 //
 // Concurrency model: the trainer is single-threaded orchestration.
 // Parallelism lives below it — rollout workers own disjoint env/RNG
-// state, each env with its own evaluator and LP caches, and the update
-// phase borrows the same pool between collects, with every sample
-// writing only its own gradient slot — so the trainer itself holds no
-// locks and has nothing to NP_GUARDED_BY. Checkpoint save/load
-// (checkpoint.cpp) likewise runs only between epochs, when no worker is
-// in flight.
+// state (worker 0 is the trainer's own env and RNG), each env with its
+// own evaluator and LP caches, and the update phase borrows the same
+// pool between collects, with every sample writing only its own
+// gradient slot — so the trainer itself holds no locks and has nothing
+// to NP_GUARDED_BY. Checkpoint save/load (checkpoint.cpp) likewise runs
+// only between epochs, when no worker is in flight.
 #pragma once
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "ad/adam.hpp"
@@ -63,12 +63,11 @@ struct TrainConfig {
   /// Stop early after this many epochs without improving the best
   /// feasible cost (0 disables).
   int patience = 0;
-  /// Rollout workers K. 1 reuses the trainer's env/RNG and is
-  /// bit-for-bit identical to the pre-threading serial trainer; K > 1
-  /// runs K independent envs in lockstep (deterministic for fixed K and
-  /// seed, regardless of thread count). See rl/rollout.hpp. With
-  /// K > 1 the update phase also runs on the rollout pool, with the
-  /// same gradients as a serial update (rl/update.hpp).
+  /// Rollout workers K, stepped in lockstep (deterministic for fixed K
+  /// and seed, regardless of thread count; see rl/rollout.hpp). Worker
+  /// 0 is the trainer's own env and RNG, so K = 1 is a plain serial
+  /// rollout. The update phase runs on the same pool, with the same
+  /// gradients as a serial update (rl/update.hpp).
   int rollout_workers = 1;
   /// Crash safety: save a full-state checkpoint to checkpoint_path
   /// every this many epochs (and again on early stop and completion).
@@ -166,9 +165,6 @@ class A2cTrainer {
                             const std::vector<double>& advantages);
   UpdateTimes update_critic(const std::vector<StepRecord>& buffer,
                             const std::vector<double>& rewards_to_go);
-  /// Tape-free engine for evaluate_policy/greedy_rollout action
-  /// selection. Re-snapshots the current weights on every call.
-  nn::InferenceEngine& acting_engine();
 
   static constexpr double kUnset = kUnsetCost;
 
@@ -178,8 +174,7 @@ class A2cTrainer {
   nn::ActorCritic network_;
   ad::Adam actor_optimizer_;
   ad::Adam critic_optimizer_;
-  std::unique_ptr<RolloutWorkers> rollout_;
-  std::unique_ptr<nn::InferenceEngine> acting_engine_storage_;
+  RolloutWorkers rollout_;
   double best_cost_ = kUnset;
   std::vector<int> best_added_;
   int epoch_counter_ = 0;

@@ -19,11 +19,10 @@ namespace {
 /// term of it carries a gradient.
 using SampleLoss = std::function<std::optional<ad::Tensor>(ad::Tape&, std::size_t)>;
 
-UpdateTimes accumulate(std::size_t samples, int chunk_steps, util::ThreadPool* pool,
+UpdateTimes accumulate(std::size_t samples, int chunk_steps, util::ThreadPool& pool,
                        const SampleLoss& sample_loss) {
   const std::size_t chunk = static_cast<std::size_t>(chunk_steps);
-  const std::size_t participants =
-      pool == nullptr ? 1 : static_cast<std::size_t>(pool->workers()) + 1;
+  const std::size_t participants = static_cast<std::size_t>(pool.workers()) + 1;
   // One tape per participant, cleared between its samples: after the
   // first sample its arena holds the largest pass and stops allocating.
   std::vector<ad::Tape> tapes(participants);
@@ -65,17 +64,14 @@ UpdateTimes accumulate(std::size_t samples, int chunk_steps, util::ThreadPool* p
         throw;
       }
     };
-    if (pool == nullptr) {
-      drain(0);
-    } else {
-      // run_all returns only once every task has finished, rethrowing
-      // the first failure, so no task outlives the slots it writes.
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t p = 0; p < std::min(participants, end - begin); ++p) {
-        tasks.emplace_back([&drain, p] { drain(p); });
-      }
-      pool->run_all(std::move(tasks));
+    // run_all returns only once every task has finished, rethrowing
+    // the first failure, so no task outlives the slots it writes. With
+    // no pool workers the one task runs on the calling thread.
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t p = 0; p < std::min(participants, end - begin); ++p) {
+      tasks.emplace_back([&drain, p] { drain(p); });
     }
+    pool.run_all(std::move(tasks));
     NP_SPAN("train.update_reduce");
     for (std::size_t s = 0; s < end - begin; ++s) {
       for (ad::Tape::LeafGrad& leaf : slots[s]) leaf.param->grad += leaf.grad;
@@ -104,7 +100,7 @@ void check_sizes(const std::vector<StepRecord>& buffer, std::size_t targets,
 UpdateTimes accumulate_policy_gradients(
     nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
     const std::vector<StepRecord>& buffer, const std::vector<double>& advantages,
-    const TrainConfig& config, util::ThreadPool* pool) {
+    const TrainConfig& config, util::ThreadPool& pool) {
   check_sizes(buffer, advantages.size(), config);
   const double inv_n = 1.0 / static_cast<double>(buffer.size());
   return accumulate(buffer.size(), config.chunk_steps, pool,
@@ -142,7 +138,7 @@ UpdateTimes accumulate_policy_gradients(
 UpdateTimes accumulate_value_gradients(
     nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
     const std::vector<StepRecord>& buffer, const std::vector<double>& rewards_to_go,
-    const TrainConfig& config, util::ThreadPool* pool) {
+    const TrainConfig& config, util::ThreadPool& pool) {
   check_sizes(buffer, rewards_to_go.size(), config);
   const double inv_n = 1.0 / static_cast<double>(buffer.size());
   return accumulate(buffer.size(), config.chunk_steps, pool,

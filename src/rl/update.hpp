@@ -3,7 +3,8 @@
 // the value MSE loss into the critic and GNN parameters.
 //
 // Samples of the epoch buffer are claimed in any order by the calling
-// thread and the pool's workers. Each of those participants owns one
+// thread and the pool's workers (the rollout pool, which has none at
+// K = 1, so the calling thread then does every sample). Each of those participants owns one
 // tape and reuses it, cleared, for every sample it claims: forward,
 // reverse pass, and its parameter-leaf gradients copied into that
 // sample's slot. Once a chunk of `chunk_steps` samples is done, the
@@ -29,17 +30,17 @@ namespace np::rl {
 /// or the PPO-clipped surrogate when config.ppo_clip > 0, plus the
 /// entropy bonus) into the actor and GNN Parameter::grad. Samples whose
 /// loss has no gradient-carrying term (clipped, no entropy bonus) add
-/// nothing. `pool` may be nullptr: the calling thread does every sample.
+/// nothing.
 UpdateTimes accumulate_policy_gradients(
     nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
     const std::vector<StepRecord>& buffer, const std::vector<double>& advantages,
-    const TrainConfig& config, util::ThreadPool* pool);
+    const TrainConfig& config, util::ThreadPool& pool);
 
 /// Add the gradient of the epoch's value MSE loss against the
 /// rewards-to-go into the critic and GNN Parameter::grad.
 UpdateTimes accumulate_value_gradients(
     nn::ActorCritic& network, const std::shared_ptr<const la::CsrMatrix>& adjacency,
     const std::vector<StepRecord>& buffer, const std::vector<double>& rewards_to_go,
-    const TrainConfig& config, util::ThreadPool* pool);
+    const TrainConfig& config, util::ThreadPool& pool);
 
 }  // namespace np::rl

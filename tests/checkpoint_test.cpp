@@ -279,6 +279,35 @@ TEST(Checkpoint, ResumeRejectsMismatchedConfig) {
   EXPECT_THROW(reader.resume_from_checkpoint(path), std::runtime_error);
 }
 
+TEST(Checkpoint, ResumeRejectsExtraWorkerStream) {
+  // Same config, so the fingerprint passes, but one worker RNG stream
+  // too many: the layout of a K = 3 checkpoint that saved a stream for
+  // worker 0 as well. Resuming it cannot continue bit-for-bit.
+  const topo::Topology t = small_topology();
+  TrainConfig config = small_config();
+  config.epochs = 1;
+  config.rollout_workers = 3;
+  const std::string path = temp_path("trainer_extra_wrng.state");
+  {
+    A2cTrainer writer(t, config);
+    writer.train();
+    writer.save_checkpoint(path);
+  }
+  std::string payload = ad::read_snapshot_file(path, "trainer");
+  const std::size_t at = payload.find("worker_rngs 2\n");
+  ASSERT_NE(at, std::string::npos);
+  payload.replace(at, 14, "worker_rngs 3\nwrng 1 2 3 4\n");
+  ad::write_snapshot_file(path, "trainer", payload);
+  A2cTrainer reader(t, config);
+  try {
+    reader.resume_from_checkpoint(path);
+    FAIL() << "a checkpoint with an extra worker stream resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("holds 3 worker RNG streams"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Checkpoint, ResumeRejectsCorruptedPayload) {
   const topo::Topology t = small_topology();
   TrainConfig config = small_config();

@@ -236,8 +236,9 @@ TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
 TEST_F(FaultTest, UpdateTaskFaultPropagatesAndTrainerRecovers) {
   if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
   const topo::Topology t = topo::make_preset('A');
-  // K = 1 runs the update's sample tasks on the calling thread; K = 3
-  // runs them on the rollout pool it lends the update phase.
+  // K = 1 lends the update phase a pool with no workers, so the calling
+  // thread runs every sample task; K = 3 runs them on the pool's
+  // threads too.
   for (int workers : {1, 3}) {
     rl::TrainConfig config = rollout_fault_config();
     config.rollout_workers = workers;

@@ -372,22 +372,6 @@ void expect_epochs_identical(const std::vector<EpochStats>& a,
   }
 }
 
-TEST(Trainer, SingleWorkerReproducesSerialTrainer) {
-  // rollout_workers == 1 must be the seed serial trainer, bit for bit:
-  // the borrowed-mode RolloutWorkers shares the trainer's env and RNG
-  // and replays the exact serial operation sequence.
-  topo::Topology t = small_topology();
-  TrainConfig serial = smoke_config();
-  serial.epochs = 2;
-  TrainConfig explicit_one = serial;
-  explicit_one.rollout_workers = 1;
-  A2cTrainer a(t, serial), b(t, explicit_one);
-  const auto ha = a.train();
-  const auto hb = b.train();
-  expect_epochs_identical(ha, hb);
-  EXPECT_DOUBLE_EQ(a.best_cost(), b.best_cost());
-}
-
 TEST(Trainer, MultiWorkerRolloutIsReproducible) {
   // K = 4 lockstep rollouts must be a pure function of (seed, K):
   // identical stats across two runs regardless of thread scheduling.
@@ -427,6 +411,45 @@ TEST(Trainer, RejectsBadRolloutWorkers) {
   TrainConfig c = smoke_config();
   c.rollout_workers = 0;
   EXPECT_THROW(A2cTrainer(t, c), std::invalid_argument);
+}
+
+TEST(Rollout, WorkerZeroIsTheCallersStream) {
+  // Worker 0 steps the caller's env with the caller's RNG at every K:
+  // its share of a K = 2 collect is the K = 1 collect of as many steps,
+  // and both leave the caller's RNG in the same state.
+  const topo::Topology t = small_topology();
+  A2cTrainer trainer(t, smoke_config());
+  nn::ActorCritic& network = trainer.network();
+  constexpr int kSteps = 40;
+  PlanningEnv env_one(t, small_env_config()), env_two(t, small_env_config());
+  Rng rng_one(17), rng_two(17);
+  RolloutWorkers one(env_one, rng_one, network, /*workers=*/1, /*seed=*/5);
+  RolloutWorkers two(env_two, rng_two, network, /*workers=*/2, /*seed=*/5);
+  const std::vector<WorkerRollout> a = one.collect(kSteps);
+  const std::vector<WorkerRollout> b = two.collect(2 * kSteps);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 2u);
+  const WorkerRollout& want = a[0];
+  const WorkerRollout& got = b[0];
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    const StepRecord& x = got.records[i];
+    const StepRecord& y = want.records[i];
+    EXPECT_EQ(x.features, y.features) << "step " << i;
+    EXPECT_EQ(x.mask, y.mask) << "step " << i;
+    EXPECT_EQ(x.action, y.action) << "step " << i;
+    EXPECT_EQ(x.log_prob, y.log_prob) << "step " << i;
+    EXPECT_EQ(x.reward, y.reward) << "step " << i;
+    EXPECT_EQ(x.value, y.value) << "step " << i;
+    EXPECT_EQ(x.terminal, y.terminal) << "step " << i;
+  }
+  EXPECT_EQ(got.last_value, want.last_value);
+  EXPECT_EQ(got.trajectories, want.trajectories);
+  EXPECT_EQ(got.feasible_trajectories, want.feasible_trajectories);
+  EXPECT_EQ(got.return_sum, want.return_sum);
+  EXPECT_EQ(got.best_cost, want.best_cost);
+  EXPECT_EQ(got.best_added, want.best_added);
+  EXPECT_EQ(rng_two.state(), rng_one.state());
 }
 
 TEST(Trainer, WorksWithoutGnn) {
@@ -546,7 +569,7 @@ TEST(Trainer, ParallelUpdateMatchesChunkTapeOracle) {
         const auto adjacency = trainer.env().adjacency();
         // One fixed epoch buffer, collected with the trainer's network.
         Rng rng(11);
-        RolloutWorkers rollout(trainer.env(), rng, network);
+        RolloutWorkers rollout(trainer.env(), rng, network, /*workers=*/1, c.seed);
         std::vector<StepRecord> buffer = std::move(rollout.collect(40)[0].records);
         std::vector<double> rewards, values;
         std::vector<bool> terminal;
@@ -571,14 +594,12 @@ TEST(Trainer, ParallelUpdateMatchesChunkTapeOracle) {
         const std::vector<la::Matrix> want_value = take_grads(network);
 
         util::ThreadPool pool0(0), pool1(1), pool3(3);
-        for (util::ThreadPool* pool :
-             std::vector<util::ThreadPool*>{nullptr, &pool0, &pool1, &pool3}) {
-          const std::string label =
-              what + " pool " + (pool ? std::to_string(pool->workers()) : "none");
-          accumulate_policy_gradients(network, adjacency, buffer, gae.advantages, c, pool);
+        for (util::ThreadPool* pool : {&pool0, &pool1, &pool3}) {
+          const std::string label = what + " pool " + std::to_string(pool->workers());
+          accumulate_policy_gradients(network, adjacency, buffer, gae.advantages, c, *pool);
           expect_bitwise_equal(take_grads(network), want_policy, label + " policy");
           accumulate_value_gradients(network, adjacency, buffer, gae.rewards_to_go, c,
-                                     pool);
+                                     *pool);
           expect_bitwise_equal(take_grads(network), want_value, label + " value");
         }
       }
@@ -605,7 +626,7 @@ TEST(Trainer, AllClippedPpoSamplesContributeNoGradient) {
   // and runs no backward pass.
   nn::ActorCritic& network = trainer.network();
   Rng rng(3);
-  RolloutWorkers rollout(trainer.env(), rng, network);
+  RolloutWorkers rollout(trainer.env(), rng, network, /*workers=*/1, c.seed);
   std::vector<StepRecord> buffer = std::move(rollout.collect(16)[0].records);
   for (StepRecord& record : buffer) record.log_prob -= 1.0;  // ratio e > 1 + clip
   const std::vector<double> advantages(buffer.size(), 1.0);
@@ -613,7 +634,7 @@ TEST(Trainer, AllClippedPpoSamplesContributeNoGradient) {
   const long backwards_before = obs::counter("ad.backwards").value();
   util::ThreadPool pool(1);
   accumulate_policy_gradients(network, trainer.env().adjacency(), buffer, advantages, c,
-                              &pool);
+                              pool);
   EXPECT_EQ(obs::counter("ad.backwards").value(), backwards_before);
   for (const la::Matrix& grad : take_grads(network)) {
     for (std::size_t k = 0; k < grad.size(); ++k) EXPECT_EQ(grad.data()[k], 0.0);
